@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "par/monge_rowminima.hpp"
 #include "pram/ansv.hpp"
 #include "pram/primitives.hpp"
 #include "support/check.hpp"
@@ -136,6 +137,12 @@ Rect best_crossing(pram::Machine& mach, const std::vector<DPoint>& L,
   return {a.reach, std::max(a.b, c.b), c.reach, std::min(a.t, c.t)};
 }
 
+/// Predicted charged work of rec over k points: the crossing argopt scans
+/// about (k+1)^2 window pairs, and the halving recursion doubles that.
+std::uint64_t rec_work(std::size_t k) {
+  return 2 * par::scan_work(k + 1, k + 1);
+}
+
 Rect rec(pram::Machine& mach, std::vector<DPoint>& pts, std::size_t lo,
          std::size_t hi, const Rect& slab) {
   // pts[lo, hi) sorted by x, all strictly inside the slab's x-range.
@@ -158,7 +165,8 @@ Rect rec(pram::Machine& mach, std::vector<DPoint>& pts, std::size_t lo,
   Rect left{slab.x1, slab.y1, cut, slab.y2};
   Rect right{cut, slab.y1, slab.x2, slab.y2};
   Rect bl, br;
-  mach.parallel_branches(2, [&](std::size_t h, pram::Machine& sub) {
+  mach.parallel_branches(2, rec_work(mid - lo) + rec_work(hi - mid),
+                         [&](std::size_t h, pram::Machine& sub) {
     if (h == 0) {
       auto cp = L;
       bl = rec(sub, cp, 0, cp.size(), left);

@@ -54,6 +54,11 @@ Staircases dominance_staircases(const std::vector<IPoint>& pts) {
 
 namespace {
 
+/// Predicted charged work of largest_rect_par on n points: per
+/// orientation a 21-bit radix sort (84n) and the staircase sweeps (8n);
+/// the search over the two staircases is small beside them.
+std::uint64_t largest_rect_work(std::size_t n) { return 2 * 92 * n; }
+
 /// Best NE/SW-diagonal pair via one inverse-Monge row-maxima call.
 RectPair best_one_orientation(pram::Machine& mach,
                               const std::vector<IPoint>& pts) {
@@ -112,7 +117,9 @@ std::vector<RectPair> largest_rect_par_batch(
     PMONGE_REQUIRE(pts.size() >= 2, "need at least two points");
   }
   std::vector<RectPair> out(instances.size());
-  mach.parallel_branches(instances.size(),
+  std::uint64_t work = 0;
+  for (const auto& pts : instances) work += largest_rect_work(pts.size());
+  mach.parallel_branches(instances.size(), work,
                          [&](std::size_t i, pram::Machine& sub) {
                            out[i] = largest_rect_par(sub, instances[i]);
                          });

@@ -261,7 +261,8 @@ NeighborResult neighbors_par(pram::Machine& mach,
     } else {
       // Degenerate mask: metered direct scan of the block.
       if (slow_blocks) ++*slow_blocks;
-      mach.parallel_branches(bm, [&](std::size_t r, pram::Machine& sub) {
+      mach.parallel_branches(bm, par::scan_work(bm, bn),
+                             [&](std::size_t r, pram::Machine& sub) {
         const auto& trow = target[prows[r]];
         auto res = pram::argopt<double>(
             sub, bn,
@@ -288,7 +289,10 @@ NeighborResult neighbors_par(pram::Machine& mach,
   NeighborResult res;
   res.neighbor.assign(m, NeighborResult::npos);
   res.distance.assign(m, 0.0);
-  mach.parallel_branches(m, [&](std::size_t i, pram::Machine& sub) {
+  std::size_t ncand = 0;
+  for (const auto& c : cand) ncand += c.size();
+  mach.parallel_branches(m, par::scan_work(1, ncand), [&](std::size_t i,
+                                                          pram::Machine& sub) {
     if (cand[i].empty()) return;
     auto best = pram::argopt<double>(
         sub, cand[i].size(), [&](std::size_t t) { return cand[i][t].d; },

@@ -197,13 +197,23 @@ Dist combine(pram::Machine& mach, const Dist& a, const Dist& b) {
   return c;
 }
 
+/// Predicted charged work of dist_rec over h characters of x against a y
+/// of length n: h base strips of (n+1)^2 entries and h-1 combines, each
+/// n+1 Monge searches of (n+1) x (n+1) (tube minima slice by slice).
+std::uint64_t dist_work(std::size_t h, std::size_t n) {
+  const std::uint64_t q = n + 1;
+  return h * q * q + (h - 1) * q * par::rowmin_work(q, q);
+}
+
 Dist dist_rec(pram::Machine& mach, const std::string& x, std::size_t a,
               std::size_t b, const std::string& y, const EditCosts& costs,
               std::int64_t big) {
   if (b - a == 1) return base_strip(mach, x[a], y, costs, big);
   const std::size_t mid = (a + b) / 2;
   Dist top, bot;
-  mach.parallel_branches(2, [&](std::size_t h, pram::Machine& sub) {
+  const std::uint64_t work =
+      dist_work(mid - a, y.size()) + dist_work(b - mid, y.size());
+  mach.parallel_branches(2, work, [&](std::size_t h, pram::Machine& sub) {
     if (h == 0) {
       top = dist_rec(sub, x, a, mid, y, costs, big);
     } else {
@@ -308,7 +318,13 @@ std::int64_t edit_distance_par(pram::Machine& mach, const std::string& x,
 std::vector<std::int64_t> edit_distance_par_batch(
     pram::Machine& mach, const std::vector<EditJob>& jobs) {
   std::vector<std::int64_t> out(jobs.size());
-  mach.parallel_branches(jobs.size(), [&](std::size_t i, pram::Machine& sub) {
+  std::uint64_t work = 0;
+  for (const EditJob& job : jobs) {
+    work += job.x.empty() ? 2 * job.y.size()
+                          : dist_work(job.x.size(), job.y.size());
+  }
+  mach.parallel_branches(jobs.size(), work, [&](std::size_t i,
+                                                pram::Machine& sub) {
     out[i] = edit_distance_par(sub, jobs[i].x, jobs[i].y, jobs[i].costs);
   });
   return out;

@@ -1,19 +1,26 @@
 // Deterministic data-parallel skeletons over the engine's thread pool:
-// parallel_for / parallel_reduce / parallel_scan / parallel_pack, in the
-// work/span style of Deepsea's sptl with a simplified, *oracular-style*
-// granularity control.
+// parallel_for / parallel_reduce / parallel_scan / parallel_pack, plus
+// the task fan-outs parallel_tasks / parallel_jobs, in the work/span
+// style of Deepsea's sptl with its *oracular* granularity control.
 //
-// Granularity and determinism.  Every skeleton decomposes [0, n) into
-// fixed chunks of `grain` indices.  The chunk boundaries depend only on
-// (n, grain) -- never on the thread count or the scheduler -- and chunk
-// results are always combined serially in chunk order.  Consequently the
-// value computed by every skeleton is bit-identical across thread counts
-// (including 1), even for ops that are only *approximately* associative
-// (floating-point sums): the association is fixed by the chunking, not by
-// the schedule.  grain_for() picks the chunk size from a per-call cost
-// hint so one chunk amortizes ~default_grain() unit operations; callers
-// with expensive bodies pass a larger hint to get proportionally smaller
-// chunks.  PMONGE_GRAIN scales the whole family.
+// Granularity: one rule.  Every fork carries a prediction of its serial
+// cost in units of charged PRAM work -- the paper's own work bounds, see
+// par/monge_rowminima.hpp's rowmin_work -- and the engine splits it into
+// chunks of about kForkWork (kappa) units each.  A fork predicted at or
+// below kappa is one chunk and runs in place on the calling thread; only
+// a larger one reaches the pool.  A data-parallel loop predicts
+// n * cost_hint, so it chunks at grain_for(cost_hint) = kappa / cost_hint
+// indices.  Nested forks stop reaching the pool exactly where their
+// predicted work falls to kappa, however deep they sit.
+//
+// Determinism.  Chunk boundaries depend only on (n, grain) -- never on
+// the thread count or the scheduler -- and chunk results are always
+// combined serially in chunk order.  Consequently the value computed by
+// every skeleton is bit-identical across thread counts (including 1),
+// even for ops that are only *approximately* associative (floating-point
+// sums): the association is fixed by the chunking, not by the schedule.
+// Predictions only choose the chunking, so they change speed, never
+// results or charged costs.
 //
 // Contracts: bodies/evals for distinct indices must be independent (the
 // engine runs them concurrently in unspecified order); reduce/scan ops
@@ -23,6 +30,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -34,15 +42,29 @@
 
 namespace pmonge::exec {
 
-/// Chunk size amortizing scheduling overhead for a body whose per-index
-/// cost is roughly `cost_hint` unit operations.  Independent of the
-/// thread count by design (see header comment).
-inline std::size_t grain_for(std::size_t cost_hint = 1) {
-  const std::size_t o = grain_override();
-  const std::size_t g = o != 0 ? o : default_grain();
-  const std::size_t h = cost_hint == 0 ? 1 : cost_hint;
-  const std::size_t grain = g / h;
-  return grain == 0 ? 1 : grain;
+/// kappa: the predicted charged work one chunk carries, and the most a
+/// fork may carry and still run in place.  src/plan's built-in cost
+/// profile prices entering the pool as exactly this much work
+/// (par_dispatch_ns = kappa * par_ns_per_work = 20000 ns): below it,
+/// submitting costs more than the work it would spread.  On the 4-vCPU
+/// reference host serial time per unit of charged work measured
+/// 1.3-3.4 ns across 16x16 to 1024x1024 searches, so kappa is 7-17 us.
+inline constexpr std::uint64_t kForkWork = 5000;
+
+/// Indices per chunk for a loop whose body costs about `cost_hint` units
+/// of charged work per index: kappa / cost_hint, at least 1.
+/// Independent of the thread count by design (see header comment).
+inline std::size_t grain_for(std::uint64_t cost_hint = 1) {
+  const std::uint64_t g = kForkWork / (cost_hint == 0 ? 1 : cost_hint);
+  return g == 0 ? 1 : static_cast<std::size_t>(g);
+}
+
+/// Tasks per chunk for a fork of `n` tasks predicted to cost `work` units
+/// in total: all n (one chunk, in place) when work <= kappa, otherwise
+/// grain_for of the mean task cost, which leaves at least two chunks.
+inline std::size_t task_grain(std::size_t n, std::uint64_t work) {
+  if (work <= kForkWork || n <= 1) return n == 0 ? 1 : n;
+  return grain_for((work + n - 1) / n);
 }
 
 namespace detail {
@@ -51,28 +73,25 @@ inline std::size_t chunk_count(std::size_t n, std::size_t grain) {
   return (n + grain - 1) / grain;
 }
 
-/// Serial execution is the right call when there is nothing to split,
-/// no one to split it for, the call sits so deep in the fork tree that
-/// the outer levels already saturate the pool, or an enclosing
-/// SerialScope declared the whole computation too small to be worth
-/// submitting.
-inline bool run_serially(std::size_t nchunks) {
-  return nchunks <= 1 || num_threads() <= 1 ||
-         nest_depth() >= kMaxForkDepth || serial_scope_depth() > 0;
-}
-
 }  // namespace detail
+
+/// True when a loop of `n` indices chunked by `grain` runs on the calling
+/// thread: one chunk, a one-lane engine, or an enclosing SerialScope.
+inline bool runs_in_place(std::size_t n, std::size_t grain) {
+  return detail::chunk_count(n, grain) <= 1 || num_threads() <= 1 ||
+         serial_scope_depth() > 0;
+}
 
 /// body(i) for i in [0, n), chunked by `grain`.
 template <class Body>
 void parallel_for(std::size_t n, std::size_t grain, Body&& body) {
   if (n == 0) return;
   if (grain == 0) grain = 1;
-  const std::size_t nchunks = detail::chunk_count(n, grain);
-  if (detail::run_serially(nchunks)) {
+  if (runs_in_place(n, grain)) {
     for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
+  const std::size_t nchunks = detail::chunk_count(n, grain);
   pool().run_chunks(nchunks, [&](std::size_t c) {
     const std::size_t lo = c * grain;
     const std::size_t hi = lo + grain < n ? lo + grain : n;
@@ -80,9 +99,16 @@ void parallel_for(std::size_t n, std::size_t grain, Body&& body) {
   });
 }
 
-/// Coarse task fan-out: one logical task per index, for bodies that are
-/// themselves substantial (sub-searches, Machine branches).  Equivalent
-/// to parallel_for with grain 1.
+/// Task fan-out: body(i) for i in [0, n), where the n tasks together are
+/// predicted to cost `work` units of charged work (the fork's oracle; see
+/// task_grain).
+template <class Body>
+void parallel_tasks(std::size_t n, std::uint64_t work, Body&& body) {
+  parallel_for(n, task_grain(n, work), std::forward<Body>(body));
+}
+
+/// Unpredicted task fan-out: one chunk per task, for callers that vouch
+/// every task is substantial (a batch of whole searches, a service burst).
 template <class Body>
 void parallel_tasks(std::size_t n, Body&& body) {
   parallel_for(n, 1, std::forward<Body>(body));
@@ -110,12 +136,12 @@ T parallel_reduce(std::size_t n, std::size_t grain, T identity, Eval&& eval,
                   Op&& op) {
   if (n == 0) return identity;
   if (grain == 0) grain = 1;
-  const std::size_t nchunks = detail::chunk_count(n, grain);
-  if (detail::run_serially(nchunks)) {
+  if (runs_in_place(n, grain)) {
     T acc = identity;
     for (std::size_t i = 0; i < n; ++i) acc = op(acc, eval(i));
     return acc;
   }
+  const std::size_t nchunks = detail::chunk_count(n, grain);
   // Plain array, not std::vector<T>: with T = bool the vector
   // specialization bit-packs, and concurrent chunks writing adjacent
   // flags would race on the shared word.
@@ -141,8 +167,7 @@ T parallel_scan_exclusive(std::span<T> xs, std::size_t grain, Op&& op,
   const std::size_t n = xs.size();
   if (n == 0) return identity;
   if (grain == 0) grain = 1;
-  const std::size_t nchunks = detail::chunk_count(n, grain);
-  if (detail::run_serially(nchunks)) {
+  if (runs_in_place(n, grain)) {
     T acc = identity;
     for (std::size_t i = 0; i < n; ++i) {
       T x = xs[i];
@@ -151,6 +176,7 @@ T parallel_scan_exclusive(std::span<T> xs, std::size_t grain, Op&& op,
     }
     return acc;
   }
+  const std::size_t nchunks = detail::chunk_count(n, grain);
   std::vector<T> offset(nchunks, identity);
   pool().run_chunks(nchunks, [&](std::size_t c) {
     const std::size_t lo = c * grain;
@@ -184,11 +210,11 @@ T parallel_scan_inclusive(std::span<T> xs, std::size_t grain, Op&& op) {
   const std::size_t n = xs.size();
   if (n == 0) return T{};
   if (grain == 0) grain = 1;
-  const std::size_t nchunks = detail::chunk_count(n, grain);
-  if (detail::run_serially(nchunks)) {
+  if (runs_in_place(n, grain)) {
     for (std::size_t i = 1; i < n; ++i) xs[i] = op(xs[i - 1], xs[i]);
     return xs[n - 1];
   }
+  const std::size_t nchunks = detail::chunk_count(n, grain);
   std::vector<T> sums(nchunks);
   pool().run_chunks(nchunks, [&](std::size_t c) {
     const std::size_t lo = c * grain;
@@ -215,14 +241,14 @@ std::vector<std::size_t> parallel_pack(std::size_t n, std::size_t grain,
                                        Keep&& keep) {
   if (n == 0) return {};
   if (grain == 0) grain = 1;
-  const std::size_t nchunks = detail::chunk_count(n, grain);
-  if (detail::run_serially(nchunks)) {
+  if (runs_in_place(n, grain)) {
     std::vector<std::size_t> out;
     for (std::size_t i = 0; i < n; ++i) {
       if (keep(i)) out.push_back(i);
     }
     return out;
   }
+  const std::size_t nchunks = detail::chunk_count(n, grain);
   std::vector<std::size_t> count(nchunks, 0);
   pool().run_chunks(nchunks, [&](std::size_t c) {
     const std::size_t lo = c * grain;

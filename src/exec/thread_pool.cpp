@@ -13,9 +13,7 @@ namespace pmonge::exec {
 using detail::Batch;
 
 namespace {
-thread_local std::size_t t_nest_depth = 0;
 thread_local std::size_t t_serial_depth = 0;
-thread_local std::size_t t_grain_override = 0;
 
 std::uint64_t us_since(std::chrono::steady_clock::time_point t0) {
   const auto d = std::chrono::duration_cast<std::chrono::microseconds>(
@@ -24,19 +22,10 @@ std::uint64_t us_since(std::chrono::steady_clock::time_point t0) {
 }
 }  // namespace
 
-std::size_t nest_depth() { return t_nest_depth; }
-
 std::size_t serial_scope_depth() { return t_serial_depth; }
 
 SerialScope::SerialScope() { ++t_serial_depth; }
 SerialScope::~SerialScope() { --t_serial_depth; }
-
-std::size_t grain_override() { return t_grain_override; }
-
-GrainScope::GrainScope(std::size_t grain) : saved_(t_grain_override) {
-  t_grain_override = grain;
-}
-GrainScope::~GrainScope() { t_grain_override = saved_; }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   const std::size_t want = threads == 0 ? 1 : threads;
@@ -67,14 +56,17 @@ void ThreadPool::run_batch(std::size_t nchunks,
   b->invoke = invoke;
   b->ctx = ctx;
   b->nchunks = nchunks;
-  b->depth = t_nest_depth + 1;
   b->trace_id = obs::current_trace_id();
   batches_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lk(queue_mu_);
     queue_.push_back(b);
   }
-  queue_cv_.notify_all();
+  // The submitter takes a chunk itself, so at most nchunks - 1 workers
+  // can help.  Workers busy elsewhere are not waiting and find the batch
+  // in the queue when they next look.
+  const std::size_t wake = std::min(nchunks - 1, workers_.size());
+  for (std::size_t i = 0; i < wake; ++i) queue_cv_.notify_one();
 
   // Submit-and-participate: drain our own batch, then wait for chunks
   // claimed by workers to retire.
@@ -102,11 +94,6 @@ void ThreadPool::run_batch(std::size_t nchunks,
 }
 
 void ThreadPool::work_on(Batch& b, LaneCounters& lane) {
-  struct DepthGuard {
-    std::size_t saved;
-    ~DepthGuard() { t_nest_depth = saved; }
-  } guard{t_nest_depth};
-  t_nest_depth = b.depth;
   // Chunk bodies run under the submitter's trace id so kernel-internal
   // spans on pool workers stay attributed to the originating request.
   obs::TraceContext tctx(b.trace_id);
@@ -231,12 +218,6 @@ void set_num_threads(std::size_t threads) {
   ThreadPool* fresh = new ThreadPool(threads == 0 ? 1 : threads);
   ThreadPool* old = g_pool.exchange(fresh, std::memory_order_acq_rel);
   delete old;  // joins the old workers; caller guarantees quiescence
-}
-
-std::size_t default_grain() {
-  static const std::size_t g = static_cast<std::size_t>(
-      support::env_uint_or("PMONGE_GRAIN", 2048, /*lo=*/1));
-  return g;
 }
 
 }  // namespace pmonge::exec

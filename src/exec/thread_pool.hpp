@@ -45,7 +45,6 @@ struct Batch {
   void (*invoke)(void* ctx, std::size_t chunk) = nullptr;
   void* ctx = nullptr;
   std::size_t nchunks = 0;
-  std::size_t depth = 0;  // fork-nesting depth of the chunk bodies
   std::uint64_t trace_id = 0;  // submitter's obs trace id (0 = none)
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
@@ -149,59 +148,21 @@ PoolStats pool_stats();
 /// flight on any thread.
 void set_num_threads(std::size_t threads);
 
-/// Base granularity: the number of unit-cost loop iterations one chunk
-/// should amortize scheduling overhead over.  PMONGE_GRAIN overrides the
-/// built-in default (read once).
-std::size_t default_grain();
-
-/// Fork-nesting depth of the calling thread: 0 outside the engine, d+1
-/// inside a chunk of a batch submitted at depth d.  The data-parallel
-/// skeletons serialize below kMaxForkDepth -- by then the top levels have
-/// already produced enough chunks to saturate any pool, and deeper forks
-/// would only pay scheduling overhead.  Execution strategy only: results
-/// and charged costs never depend on it.
-std::size_t nest_depth();
-inline constexpr std::size_t kMaxForkDepth = 4;
-
 /// Depth of SerialScope nesting on the calling thread (0 = none active).
 std::size_t serial_scope_depth();
 
-/// RAII: while alive on this thread, every data-parallel skeleton runs
-/// its chunks in place on the calling thread instead of submitting to
-/// the pool.  Execution strategy only -- results and charged costs are
-/// identical either way (the chunk decomposition never changes) -- but
-/// tiny computations skip the submission overhead entirely.  This is the
-/// small-input fast path the execution planner (src/plan) selects; the
-/// par/ kernels also apply it below their own serial cutoff.  Nests.
+/// RAII: while alive on this thread, every data-parallel skeleton and
+/// every fork runs its chunks in place on the calling thread instead of
+/// submitting to the pool.  Execution strategy only -- results and
+/// charged costs are identical either way (the chunk decomposition never
+/// changes).  The serve layer's degraded path and explicitly serial
+/// callers use it to keep whole computations off the pool.  Nests.
 class SerialScope {
  public:
   SerialScope();
   ~SerialScope();
   SerialScope(const SerialScope&) = delete;
   SerialScope& operator=(const SerialScope&) = delete;
-};
-
-/// Grain override active on the calling thread (0 = none; use
-/// default_grain()).
-std::size_t grain_override();
-
-/// RAII: while alive on this thread, grain_for() bases chunk sizes on
-/// `grain` instead of default_grain().  The override applies to
-/// decompositions performed on this thread (nested decompositions that
-/// pool workers perform on the caller's behalf keep the default).  Grain
-/// never changes results: chunk combination is serial in chunk order and
-/// every combiner the library uses is exactly associative.  Plans from
-/// src/plan carry the hint; 0 restores the default.  Nests (restores the
-/// previous override on destruction).
-class GrainScope {
- public:
-  explicit GrainScope(std::size_t grain);
-  ~GrainScope();
-  GrainScope(const GrainScope&) = delete;
-  GrainScope& operator=(const GrainScope&) = delete;
-
- private:
-  std::size_t saved_;
 };
 
 }  // namespace pmonge::exec

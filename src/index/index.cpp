@@ -1,12 +1,9 @@
 #include "index/index.hpp"
 
 #include <chrono>
-#include <functional>
-#include <optional>
 #include <utility>
 
 #include "exec/parallel.hpp"
-#include "exec/thread_pool.hpp"
 #include "fault/fault.hpp"
 #include "monge/smawk.hpp"
 #include "obs/trace.hpp"
@@ -198,22 +195,26 @@ void Index::build() {
   nodes_.reserve(2 * num_blocks_);
   build_topology(0, num_blocks_);
 
-  // Below the library's serial cutoff the whole build stays on the
-  // calling thread -- identical structure, no pool submissions.
-  std::optional<exec::SerialScope> serial;
-  if (m * w <= par::kSerialCutoffCells) serial.emplace();
-
-  std::vector<ColOpt> mins(nodes_.size()), maxs(nodes_.size());
-  std::vector<std::function<void()>> jobs;
-  jobs.reserve(num_blocks_);
+  // One task per leaf block.  Each leaf costs two linear SMAWK passes
+  // over its transposed rows x w block (dense) or two scans of its
+  // finite cells (staircase); the fork rule keeps a build predicted at
+  // most kappa on the calling thread.
+  const bool staircase = e.kind == serve::ArrayEntry::Kind::Staircase;
+  std::vector<std::size_t> leaves;
+  leaves.reserve(num_blocks_);
+  std::uint64_t work = 0;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     if (nodes_[i].left != kNone) continue;
-    jobs.push_back([this, i, &mins, &maxs] {
-      compute_colopt(false, nodes_[i].row_lo, nodes_[i].row_hi, mins[i]);
-      compute_colopt(true, nodes_[i].row_lo, nodes_[i].row_hi, maxs[i]);
-    });
+    leaves.push_back(i);
+    const std::size_t rows = nodes_[i].row_hi - nodes_[i].row_lo;
+    work += staircase ? rows * w : 2 * par::scan_work(1, rows + w);
   }
-  exec::parallel_jobs(jobs);
+  std::vector<ColOpt> mins(nodes_.size()), maxs(nodes_.size());
+  exec::parallel_tasks(leaves.size(), work, [&](std::size_t t) {
+    const Node& nd = nodes_[leaves[t]];
+    compute_colopt(false, nd.row_lo, nd.row_hi, mins[leaves[t]]);
+    compute_colopt(true, nd.row_lo, nd.row_hi, maxs[leaves[t]]);
+  });
 
   // Internal nodes merge their children's per-column optima column-wise.
   // build_topology creates parents before children, so a descending
@@ -385,8 +386,7 @@ RegionOpt submatrix_direct(const serve::ArrayEntry& entry, bool maxima,
       // results folded serially in chunk order: the combine order is a
       // total order on (value, col, row), so the chunking cannot change
       // the answer.
-      std::size_t grain = exec::grain_for(nc == 0 ? 1 : nc);
-      if (grain == 0) grain = 1;
+      const std::size_t grain = exec::grain_for(nc == 0 ? 1 : nc);
       const std::size_t nchunks = (nr + grain - 1) / grain;
       std::vector<RegionOpt> part(nchunks);
       exec::parallel_for(nchunks, 1, [&](std::size_t c) {

@@ -16,9 +16,9 @@
 // run over the sub-block *by construction* (docs/indexing.md has the
 // argument).
 //
-// Construction runs on the exec engine: one job per leaf block through
-// exec::parallel_jobs, the whole build under exec::SerialScope when the
-// array is below the library's serial cutoff.  Lookups take a shared
+// Construction runs on the exec engine: one task per leaf block, forked
+// by the engine's fork rule on the build's predicted work, so a small
+// array builds on the calling thread.  Lookups take a shared
 // lock; when the fault layer is armed, the index.node_corrupt site may
 // flip a byte in a visited node's payload, the per-node FNV-1a checksum
 // detects it, and the node is rebuilt from the source array (never from
@@ -65,8 +65,9 @@ class Index {
   explicit Index(std::shared_ptr<const serve::ArrayEntry> entry,
                  std::size_t leaf_rows = kDefaultLeafRows);
 
-  /// Construct every node (parallel over leaf blocks; serial below the
-  /// cutoff).  Must be called exactly once, before any lookup.
+  /// Construct every node (parallel over leaf blocks when the predicted
+  /// work exceeds the fork rule's kappa).  Must be called exactly once,
+  /// before any lookup.
   void build();
 
   /// Optimum of [r0, r1] x [c0, c1] (inclusive, caller-validated).

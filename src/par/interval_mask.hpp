@@ -122,7 +122,12 @@ std::vector<RowOpt<T>> interval_masked_row_opt(
   // slot; rows' candidate lists are assembled serially afterwards (in job
   // order, deterministic at every thread count).
   std::vector<std::vector<RowOpt<T>>> job_res(jobs.size());
-  mach.parallel_branches(jobs.size(), [&](std::size_t t, pram::Machine& sub) {
+  std::uint64_t jobs_work = 0;
+  for (const Job& job : jobs) {
+    jobs_work += rowmin_work(job.r1 - job.r0, job.width);
+  }
+  mach.parallel_branches(jobs.size(), jobs_work, [&](std::size_t t,
+                                                     pram::Machine& sub) {
     const Job& job = jobs[t];
     auto block = monge::make_func_array<T>(
         job.r1 - job.r0, job.width,
@@ -160,7 +165,8 @@ std::vector<RowOpt<T>> interval_masked_row_opt(
 
   const auto lgcand = static_cast<std::uint64_t>(std::max(1, ceil_lg(n + 1)));
   mach.meter().charge(lgcand, m, static_cast<std::uint64_t>(m) * lgcand);
-  mach.parallel_branches(m, [&](std::size_t i, pram::Machine& sub) {
+  mach.parallel_branches(m, scan_work(m, lgcand), [&](std::size_t i,
+                                                      pram::Machine& sub) {
     auto& cand = winners[i];
     if (cand.empty()) return;
     std::sort(cand.begin(), cand.end(),

@@ -26,10 +26,12 @@
 // compiler sees one instantiation per input array type (nesting SubArray/
 // RowSelect view types recursively would blow up template depth).
 //
-// Host execution: every parallel_branches fan-out below runs concurrently
-// on the src/exec engine.  Branch bodies write only disjoint slots of
-// `out` / `block` (their branch's rows), which is the independence the
-// simulated machine already required; `eval` must be a pure read.
+// Host execution: every parallel_branches fan-out below carries the
+// predicted charged work of its branches (rowmin_work / scan_work), and
+// the src/exec engine runs it in place or on the pool by that prediction
+// alone.  Branch bodies write only disjoint slots of `out` / `block`
+// (their branch's rows), which is the independence the simulated machine
+// already required; `eval` must be a pure read.
 // Scratch discipline: the recursion's bookkeeping temporaries (sampled
 // positions, bracket lists, iota row vectors) live on the calling
 // thread's bump arena (exec/scratch.hpp) -- built before any fan-out,
@@ -38,12 +40,11 @@
 // run on other threads and move their results in.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "exec/scratch.hpp"
-#include "exec/thread_pool.hpp"
 #include "monge/array.hpp"
 #include "pram/machine.hpp"
 #include "pram/primitives.hpp"
@@ -55,27 +56,24 @@ using monge::Array2D;
 using monge::kNoCol;
 using monge::RowOpt;
 
-/// Small-input serial cutoff shared by the par/ entry points (and read by
-/// the execution planner, src/plan): below this many cells the whole
-/// search runs under an exec::SerialScope -- identical decomposition,
-/// identical results and charged costs, but no pool submissions, because
-/// at this size the dispatch overhead dwarfs the work.
-inline constexpr std::size_t kSerialCutoffCells = 4096;
+/// Predicted charged work of a row-minima search over m rows x n columns:
+/// Lemma 2.1's O((m+n) lg n) bound with the constant measured on CRCW.
+/// Predictions are in units of CRCW charged work whatever the model, as
+/// the host executes every model's primitives the same way; they feed
+/// the exec fork rule and nothing else.  Cells would mispredict: 16x256
+/// and 64x64 both have 4096, but charge 13.6k vs 7.1k work.
+inline std::uint64_t rowmin_work(std::size_t m, std::size_t n) {
+  return 7 * static_cast<std::uint64_t>(m + n) *
+         static_cast<std::uint64_t>(ceil_lg(n + 1));
+}
+
+/// Predicted charged work of `rows` direct argopt scans of `width`
+/// entries each (a CRCW argopt charges about 7 work per entry).
+inline std::uint64_t scan_work(std::size_t rows, std::size_t width) {
+  return 7 * static_cast<std::uint64_t>(rows) * width;
+}
 
 namespace detail {
-
-/// SerialScope for searches the cutoff declares too small to farm out.
-/// RowOpt results and meter charges are unchanged by construction (the
-/// engine never influences either); only the execution strategy differs.
-class MaybeSerial {
- public:
-  explicit MaybeSerial(std::size_t cells) {
-    if (cells <= kSerialCutoffCells) scope_.emplace();
-  }
-
- private:
-  std::optional<exec::SerialScope> scope_;  // in place: no per-call heap
-};
 
 /// Ranged argopt over columns [lo, hi] of one row, with tie policy.
 template <bool PreferLeft, class T, class EvalF>
@@ -102,7 +100,8 @@ std::vector<RowOpt<T>> rowmin_rec(pram::Machine& mach, const EvalF& eval,
   const std::size_t n = chi - clo + 1;
 
   if (m <= 4 || n <= 4 || m * n <= 64) {
-    mach.parallel_branches(m, [&](std::size_t i, pram::Machine& sub) {
+    mach.parallel_branches(m, scan_work(m, n), [&](std::size_t i,
+                                                   pram::Machine& sub) {
       out[i] = row_range_opt<PreferLeft, T>(sub, eval, rows[i], clo, chi);
     });
     return out;
@@ -114,12 +113,14 @@ std::vector<RowOpt<T>> rowmin_rec(pram::Machine& mach, const EvalF& eval,
     // the right tie policy on the global column).
     const std::size_t nb = (n + m - 1) / m;
     std::vector<std::vector<RowOpt<T>>> block(nb);
-    mach.parallel_branches(nb, [&](std::size_t b, pram::Machine& sub) {
+    mach.parallel_branches(nb, nb * rowmin_work(m, m), [&](std::size_t b,
+                                                           pram::Machine& sub) {
       const std::size_t lo = clo + b * m;
       const std::size_t hi = std::min(chi, lo + m - 1);
       block[b] = rowmin_rec<PreferLeft, T>(sub, eval, rows, lo, hi);
     });
-    mach.parallel_branches(m, [&](std::size_t i, pram::Machine& sub) {
+    mach.parallel_branches(m, scan_work(m, nb), [&](std::size_t i,
+                                                    pram::Machine& sub) {
       auto res = pram::argopt<T>(
           sub, nb,
           [&](std::size_t b) {
@@ -162,6 +163,7 @@ std::vector<RowOpt<T>> rowmin_rec(pram::Machine& mach, const EvalF& eval,
     std::size_t lo, hi;  // global column bracket
   };
   auto groups = exec::scratch_vector<Bracket>();
+  std::uint64_t groups_work = 0;
   std::size_t prev_pos = 0;
   std::size_t prev_col = clo;
   for (std::size_t t = 0; t <= sampled_pos.size(); ++t) {
@@ -176,13 +178,16 @@ std::vector<RowOpt<T>> rowmin_rec(pram::Machine& mach, const EvalF& eval,
                    "Monge/inverse-Monge as claimed");
     if (next_pos > prev_pos) {
       groups.push_back({prev_pos, next_pos, prev_col, next_col});
+      const std::size_t gm = next_pos - prev_pos;
+      const std::size_t gn = next_col - prev_col + 1;
+      groups_work += recurse_groups ? rowmin_work(gm, gn) : scan_work(gm, gn);
     }
     prev_pos = next_pos + 1;
     prev_col = next_col;
   }
 
-  mach.parallel_branches(groups.size(), [&](std::size_t g,
-                                            pram::Machine& gm) {
+  mach.parallel_branches(groups.size(), groups_work, [&](std::size_t g,
+                                                         pram::Machine& gm) {
     const Bracket& b = groups[g];
     const auto grows = rows.subspan(b.p0, b.p1 - b.p0);
     if (recurse_groups) {
@@ -190,8 +195,9 @@ std::vector<RowOpt<T>> rowmin_rec(pram::Machine& mach, const EvalF& eval,
       gm.meter().charge(1, res.size());
       for (std::size_t i = 0; i < res.size(); ++i) out[b.p0 + i] = res[i];
     } else {
-      gm.parallel_branches(grows.size(), [&](std::size_t i,
-                                             pram::Machine& rm) {
+      gm.parallel_branches(grows.size(),
+                           scan_work(grows.size(), b.hi - b.lo + 1),
+                           [&](std::size_t i, pram::Machine& rm) {
         out[b.p0 + i] =
             row_range_opt<PreferLeft, T>(rm, eval, grows[i], b.lo, b.hi);
       });
@@ -205,7 +211,6 @@ std::vector<RowOpt<T>> rowmin_entry(pram::Machine& mach, std::size_t m,
                                     std::size_t n, const EvalF& eval) {
   std::vector<RowOpt<T>> empty_out(m, RowOpt<T>{monge::inf<T>(), kNoCol});
   if (m == 0 || n == 0) return empty_out;
-  MaybeSerial serial(m * n);
   exec::ScratchScope scratch;  // outlives the recursion; rows is read-only
   auto rows = exec::scratch_vector<std::size_t>(m);
   for (std::size_t i = 0; i < m; ++i) rows[i] = i;
@@ -232,7 +237,6 @@ std::vector<RowOpt<T>> rowmin_rows_entry(pram::Machine& mach,
     return std::vector<RowOpt<T>>(rows.size(),
                                   RowOpt<T>{monge::inf<T>(), kNoCol});
   }
-  MaybeSerial serial(rows.size() * n);
   return rowmin_rec<PreferLeft, T>(mach, eval, rows, 0, n - 1);
 }
 

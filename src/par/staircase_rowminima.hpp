@@ -33,6 +33,7 @@
 // Table 1.2 rows (see bench_table_1_2).
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "exec/scratch.hpp"
@@ -125,7 +126,8 @@ void staircase_colsplit(pram::Machine& mach,
   const std::size_t width = c1 - c0;
   if (width <= 4 || r1 - r0 <= 1) {
     // Direct: each row scans its live prefix of this column range.
-    mach.parallel_branches(r1 - r0, [&](std::size_t t, pram::Machine& sub) {
+    mach.parallel_branches(r1 - r0, scan_work(r1 - r0, width),
+                           [&](std::size_t t, pram::Machine& sub) {
       const std::size_t i = r0 + t;
       const std::size_t hi = std::min(c1, s.frontier(i));
       if (hi <= c0) return;
@@ -144,7 +146,11 @@ void staircase_colsplit(pram::Machine& mach,
   mach.meter().charge(static_cast<std::uint64_t>(
                           std::max(1, ceil_lg(r1 - r0 + 1))),
                       r1 - r0);  // find the split by parallel search
-  mach.parallel_branches(2, [&](std::size_t h, pram::Machine& sub) {
+  // Each column level costs at most one Monge search over the rows.
+  const std::uint64_t work =
+      rowmin_work(r1 - r0, width) *
+      static_cast<std::uint64_t>(std::max(1, ceil_lg(width + 1)));
+  mach.parallel_branches(2, work, [&](std::size_t h, pram::Machine& sub) {
     if (h == 0) {
       if (split > r0) {
         // Left half is fully alive for these rows: one Monge batch...
@@ -209,8 +215,27 @@ std::vector<RowOpt<typename A::value_type>> staircase_opt(
     job_res[t] = std::move(res);
   };
 
+  auto job_work = [&](std::size_t t) {
+    return rowmin_work(jobs[t].row1 - jobs[t].row0, jobs[t].width);
+  };
   if (sched == StaircaseSchedule::MaxParallel) {
-    mach.parallel_branches(jobs.size(), run_job);
+    // Claim jobs in descending predicted work, so the largest pieces
+    // start first instead of running alone at the end.  Each job still
+    // writes its own slot, and the meter merge is order-free.
+    auto order = exec::scratch_vector<std::size_t>(jobs.size());
+    std::uint64_t work = 0;
+    for (std::size_t t = 0; t < jobs.size(); ++t) {
+      order[t] = t;
+      work += job_work(t);
+    }
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      const std::uint64_t wa = job_work(a), wb = job_work(b);
+      return wa != wb ? wa > wb : a < b;
+    });
+    mach.parallel_branches(jobs.size(), work, [&](std::size_t t,
+                                                  pram::Machine& sub) {
+      run_job(order[t], sub);
+    });
   } else {
     // Level-phased: segments of one width at a time.  Within a level the
     // segments are column-disjoint and row blocks meet each row once.
@@ -218,13 +243,17 @@ std::vector<RowOpt<typename A::value_type>> staircase_opt(
     auto level = exec::scratch_vector<std::size_t>();
     for (std::size_t k = 0; done < jobs.size(); ++k) {
       level.clear();
+      std::uint64_t work = 0;
       for (std::size_t t = 0; t < jobs.size(); ++t) {
-        if (jobs[t].level == k) level.push_back(t);
+        if (jobs[t].level == k) {
+          level.push_back(t);
+          work += job_work(t);
+        }
       }
       done += level.size();
       if (level.empty()) continue;
-      mach.parallel_branches(level.size(), [&](std::size_t t,
-                                               pram::Machine& sub) {
+      mach.parallel_branches(level.size(), work, [&](std::size_t t,
+                                                     pram::Machine& sub) {
         run_job(level[t], sub);
       });
     }
@@ -247,7 +276,8 @@ std::vector<RowOpt<typename A::value_type>> staircase_opt(
   // over lg n candidates (each row's candidates fit one processor group).
   mach.meter().charge(static_cast<std::uint64_t>(lgn), m,
                       static_cast<std::uint64_t>(m) * lgn);
-  mach.parallel_branches(m, [&](std::size_t i, pram::Machine& sub) {
+  mach.parallel_branches(m, scan_work(m, lgn), [&](std::size_t i,
+                                                   pram::Machine& sub) {
     auto& cand = winners[i];
     if (cand.empty()) return;  // f_i == 0: row stays {inf, kNoCol}
     std::sort(cand.begin(), cand.end(),
@@ -271,7 +301,6 @@ template <monge::Array2D A>
 std::vector<RowOpt<typename A::value_type>> staircase_row_minima(
     pram::Machine& mach, const monge::StaircaseArray<A>& s,
     StaircaseSchedule sched = StaircaseSchedule::MaxParallel) {
-  detail::MaybeSerial serial(s.rows() * s.cols());
   return detail::staircase_opt<true>(mach, s, sched);
 }
 
@@ -281,7 +310,6 @@ template <monge::Array2D A>
 std::vector<RowOpt<typename A::value_type>> staircase_row_maxima(
     pram::Machine& mach, const monge::StaircaseArray<A>& s,
     StaircaseSchedule sched = StaircaseSchedule::MaxParallel) {
-  detail::MaybeSerial serial(s.rows() * s.cols());
   return detail::staircase_opt<false>(mach, s, sched);
 }
 
@@ -337,7 +365,6 @@ std::vector<RowOpt<typename A::value_type>> staircase_rows_entry(
     PMONGE_REQUIRE(i == 0 || rows[i - 1] < rows[i],
                    "batched row queries must be strictly increasing");
   }
-  MaybeSerial serial(rows.size() * s.cols());
   monge::RowSelect<A> sel(s.base(),
                           std::vector<std::size_t>(rows.begin(), rows.end()));
   std::vector<std::size_t> frontier;

@@ -76,7 +76,8 @@ TubePlane<typename D::value_type> tube_per_slice(pram::Machine& mach,
   using T = typename D::value_type;
   const std::size_t p = d.rows(), q = d.cols(), r = e.cols();
   TubePlane<T> out{p, r, std::vector<TubeOpt<T>>(p * r)};
-  mach.parallel_branches(r, [&](std::size_t k, pram::Machine& sub) {
+  mach.parallel_branches(r, r * rowmin_work(p, q), [&](std::size_t k,
+                                                       pram::Machine& sub) {
     auto fk = monge::make_func_array<T>(
         p, q, [&, k](std::size_t i, std::size_t j) {
           return d(i, j) + e(j, k);
@@ -113,15 +114,17 @@ TubePlane<typename D::value_type> tube_sampled(pram::Machine& mach,
 
   if (si.size() < 2 || sk.size() < 2) {
     // Degenerate plane: solve every output directly (still doubly-log).
-    mach.parallel_branches(p * r, [&](std::size_t t, pram::Machine& sub) {
+    mach.parallel_branches(p * r, scan_work(p * r, q), [&](std::size_t t,
+                                                           pram::Machine& sub) {
       out.at(t / r, t % r) =
           tube_point<Minima>(sub, d, e, t / r, t % r, 0, q - 1);
     });
     return out;
   }
 
-  mach.parallel_branches(si.size() * sk.size(), [&](std::size_t t,
-                                                    pram::Machine& sub) {
+  mach.parallel_branches(si.size() * sk.size(),
+                         scan_work(si.size() * sk.size(), q),
+                         [&](std::size_t t, pram::Machine& sub) {
     const std::size_t i = si[t / sk.size()];
     const std::size_t k = sk[t % sk.size()];
     out.at(i, k) = tube_point<Minima>(sub, d, e, i, k, 0, q - 1);
@@ -140,7 +143,10 @@ TubePlane<typename D::value_type> tube_sampled(pram::Machine& mach,
   // Fill: bracket each remaining output by the thetas of the enclosing
   // sampled grid corners.  Theta is non-decreasing in (i, k) for minima
   // and non-increasing for maxima; take the corner pair accordingly.
-  mach.parallel_branches(p * r, [&](std::size_t t, pram::Machine& sub) {
+  // Monotone thetas cross q middle indices over the ~p/s and ~r/s grid
+  // steps, so a bracket spans about 2q/s of them.
+  mach.parallel_branches(p * r, scan_work(p * r, 2 * q / s + 1),
+                         [&](std::size_t t, pram::Machine& sub) {
     const std::size_t i = t / r;
     const std::size_t k = t % r;
     if (row_sampled[i] && col_sampled[k]) return;  // phase 2 owns this cell
@@ -218,13 +224,14 @@ std::vector<TubeOpt<typename D::value_type>> tube_points_impl(
     PMONGE_REQUIRE(tq.i < p && tq.k < r, "tube query out of range");
   }
   std::vector<TubeOpt<T>> out(qs.size());
-  MaybeSerial serial(qs.size() * q);
   std::map<std::size_t, std::vector<std::size_t>> by_k;  // k -> query idxs
   for (std::size_t t = 0; t < qs.size(); ++t) by_k[qs[t].k].push_back(t);
   std::vector<std::pair<std::size_t, std::vector<std::size_t>>> groups(
       by_k.begin(), by_k.end());
-  mach.parallel_branches(groups.size(), [&](std::size_t g,
-                                            pram::Machine& sub) {
+  std::uint64_t work = 0;
+  for (const auto& g : groups) work += rowmin_work(g.second.size(), q);
+  mach.parallel_branches(groups.size(), work, [&](std::size_t g,
+                                                  pram::Machine& sub) {
     const std::size_t k = groups[g].first;
     const std::vector<std::size_t>& members = groups[g].second;
     // Branch-local scratch: this lambda runs on some worker thread, so

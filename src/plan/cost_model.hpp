@@ -27,6 +27,8 @@
 #include <cstdint>
 #include <string>
 
+#include "exec/parallel.hpp"
+
 namespace pmonge::plan {
 
 /// Which family of query a shape describes; fixes which cost formulas
@@ -86,7 +88,9 @@ struct CostProfile {
   double seq_ns_per_probe = 6.0;    // one SMAWK probe (view composition)
   double edit_ns_per_cell = 3.0;    // one DP cell of the edit recurrence
   double par_ns_per_work = 4.0;     // one unit of charged PRAM work
-  double par_dispatch_ns = 20000;   // entering the pool (submission+sync)
+  // Entering the pool (submission + sync): built in as the kappa units
+  // of work the engine's fork rule keeps off the pool (exec/parallel.hpp).
+  double par_dispatch_ns = 4.0 * static_cast<double>(exec::kForkWork);
   double par_depth_ns = 250;        // one charged parallel step (barrier)
   double index_node_ns = 120;       // one query-index node visit (segment-
                                     // tree range query + breakpoint search)

@@ -53,7 +53,6 @@ inline std::uint32_t shape_class_key(const QueryShape& s) {
 /// The planner's decision for one shape class.
 struct Plan {
   Algo algo = Algo::Parallel;
-  std::size_t grain = 0;      // exec grain hint; 0 = engine default
   double predicted_us = 0;    // at the class representative shape
   QueryShape rep;             // the representative the numbers refer to
 };

@@ -1,6 +1,5 @@
 #include "plan/planner.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/trace.hpp"
@@ -21,7 +20,6 @@ Plan Planner::plan(const QueryShape& shape) const {
     // explain op and admission control stay meaningful.
     Plan p;
     p.algo = Algo::Parallel;
-    p.grain = 0;
     p.rep = shape;
     p.predicted_us =
         predicted_ns(profile_, Algo::Parallel, shape, threads_) / 1000.0;
@@ -71,19 +69,6 @@ Plan Planner::plan_at(const QueryShape& rep) const {
   }
 
   p.predicted_us = predicted_ns(profile_, p.algo, rep, threads_) / 1000.0;
-
-  if (p.algo == Algo::Parallel) {
-    // Grain hint: a chunk should amortize the dispatch cost, i.e. hold
-    // roughly par_dispatch_ns / par_ns_per_work unit operations.
-    // Clamped to a sane band; 0 would mean "engine default".
-    const double per = profile_.par_ns_per_work > 0 ? profile_.par_ns_per_work
-                                                    : 1.0;
-    const double g = profile_.par_dispatch_ns / per;
-    p.grain = static_cast<std::size_t>(
-        std::clamp(g, 64.0, 65536.0));
-  } else {
-    p.grain = 0;
-  }
   return p;
 }
 

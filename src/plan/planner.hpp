@@ -2,13 +2,16 @@
 //
 // Given what a query touches (a QueryShape), the Planner evaluates the
 // cost model for every admissible variant and returns the cheapest as a
-// Plan {algo, grain hint, predicted cost}.  The serve batcher executes
-// the group with the plan's algorithm (all variants produce the same
+// Plan {algo, predicted cost}.  The serve batcher executes the group
+// with the plan's algorithm (all variants produce the same
 // leftmost-optimum bytes); Service::submit uses predicted_us to reject
 // requests whose deadline is unmeetable before they enter the engine.
+// How a parallel plan splits across the host pool is not the planner's
+// call: the exec engine's fork rule decides that per fork, from the
+// kernel's own work prediction.
 //
-// A disabled planner (--no-plan) always answers {Parallel, grain 0} --
-// exactly the pre-planner fixed dispatch -- which is what the
+// A disabled planner (--no-plan) always answers Parallel -- exactly the
+// pre-planner fixed dispatch -- which is what the
 // bit-identity tests compare against.
 #pragma once
 

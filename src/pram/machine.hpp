@@ -85,34 +85,63 @@ class Machine {
   /// peak processors equal to the sum of branch peaks (all branches are
   /// concurrently active in the simulated machine).
   ///
-  /// Branches execute concurrently on the host engine.  Each branch owns
-  /// its sub-machine, so no meter is ever charged from two threads, and
-  /// the merge below folds the sub-meters serially in branch order --
-  /// charged totals are identical at every PMONGE_THREADS setting.
+  /// `work` predicts the charged work of all k branches together -- the
+  /// fork's oracle for the engine's one granularity rule
+  /// (exec/parallel.hpp): at most exec::kForkWork runs the branches in
+  /// place on the calling thread, more splits them into chunks of about
+  /// that much work on the host pool.  Each branch owns its sub-machine,
+  /// so no meter is ever charged from two threads, and max / sum / sum
+  /// do not depend on the order the sub-meters fold in -- charged totals
+  /// are identical at every PMONGE_THREADS setting and every prediction.
   /// Branch bodies must write only branch-private state (disjoint output
   /// slots); that is the same independence the simulated machine already
   /// required of them.
   template <class F>
+  void parallel_branches(std::size_t k, std::uint64_t work, F&& run_branch) {
+    fork(k, exec::task_grain(k, work), run_branch);
+  }
+
+  /// Unpredicted fork: every branch is its own host task.  For callers
+  /// that vouch each branch is a substantial computation (a batch of
+  /// whole searches); library fork sites pass a prediction instead.
+  template <class F>
   void parallel_branches(std::size_t k, F&& run_branch) {
-    if (k == 0) return;
-    std::vector<Machine> subs;
-    subs.reserve(k);
-    for (std::size_t b = 0; b < k; ++b) subs.emplace_back(model_);
-    exec::parallel_tasks(k, [&](std::size_t b) { run_branch(b, subs[b]); });
-    std::uint64_t max_time = 0;
-    std::uint64_t sum_work = 0;
-    std::uint64_t sum_peak = 0;
-    for (const Machine& sub : subs) {
-      max_time = std::max(max_time, sub.meter().time);
-      sum_work += sub.meter().work;
-      sum_peak += sub.meter().peak_processors;
-    }
-    meter_.time += max_time;
-    meter_.work += sum_work;
-    meter_.peak_processors = std::max(meter_.peak_processors, sum_peak);
+    fork(k, 1, run_branch);
   }
 
  private:
+  /// Folds sub-meters into the parallel composition's cost.
+  struct BranchCost {
+    std::uint64_t max_time = 0, sum_work = 0, sum_peak = 0;
+    void add(const CostMeter& c) {
+      max_time = std::max(max_time, c.time);
+      sum_work += c.work;
+      sum_peak += c.peak_processors;
+    }
+  };
+
+  template <class F>
+  void fork(std::size_t k, std::size_t grain, F& run_branch) {
+    if (k == 0) return;
+    BranchCost cost;
+    if (exec::runs_in_place(k, grain)) {
+      // One sub-machine at a time, folded as it retires: no allocation.
+      for (std::size_t b = 0; b < k; ++b) {
+        Machine sub(model_);
+        run_branch(b, sub);
+        cost.add(sub.meter_);
+      }
+    } else {
+      std::vector<Machine> subs(k, Machine(model_));
+      exec::parallel_for(k, grain,
+                         [&](std::size_t b) { run_branch(b, subs[b]); });
+      for (const Machine& sub : subs) cost.add(sub.meter_);
+    }
+    meter_.time += cost.max_time;
+    meter_.work += cost.sum_work;
+    meter_.peak_processors = std::max(meter_.peak_processors, cost.sum_peak);
+  }
+
   Model model_;
   CostMeter meter_;
 };

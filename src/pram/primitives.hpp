@@ -10,7 +10,7 @@
 //   argopt CRCW           O(lglg n) steps, O(n) work per round
 //                         (the doubly-logarithmic accelerated-cascading
 //                         max-finding of Valiant / Shiloach-Vishkin,
-//                         executed round by round)
+//                         charged round by round, executed as one pass)
 //   argopt COMBINING      1 step (min/max-combining concurrent write)
 //   prefix_scan           2 ceil(lg n) steps, ~4n work (Blelchoch up/down)
 //   scatter_write         1 step, with *real* write-conflict detection
@@ -30,6 +30,10 @@
 // PMONGE_THREADS setting; only wall-clock time changes.  Charging always
 // happens on the calling thread, never inside an engine task, so one
 // meter is never touched from two threads (see docs/cost_model.md).
+// Execution need not follow the charged algorithm step by step: where
+// the charged schedule's answer is a pure function of the input (the
+// unique winner of an argopt, a stable merge), the host computes it the
+// cheapest way.
 #pragma once
 
 #include <algorithm>
@@ -115,37 +119,20 @@ OptResult<T> engine_argopt(std::size_t n, const Eval& eval,
       });
 }
 
-/// Doubly-logarithmic CRCW argopt round schedule: candidate set sizes fall
-/// as s -> s / g with g = max(2, n / s), reaching 1 in O(lglg n) rounds
-/// while every round uses at most ~2n processors (g^2 per group, s/g
-/// groups => s*g <= 2n).  `better(a, b)` returns true when a strictly
-/// beats b; ties resolve to the smaller index.
-template <class T, class Better>
-OptResult<T> crcw_argopt(Machine& m, std::vector<OptResult<T>> cand,
-                         Better&& better) {
-  const std::size_t n = cand.size();
-  while (cand.size() > 1) {
-    const std::size_t s = cand.size();
-    std::size_t g = std::max<std::size_t>(2, n / s);
-    g = std::min(g, s);
-    const std::size_t groups = (s + g - 1) / g;
-    // One step of all-pairs loser-marking (COMMON writes of `true` agree)
-    // plus one step in which the unique unmarked processor in each group
-    // writes the winner.
+/// Charge the doubly-logarithmic CRCW argopt round schedule over n
+/// candidates: one load step, then rounds in which candidate set sizes
+/// fall as s -> s / g with g = max(2, n / s), reaching 1 in O(lglg n)
+/// rounds while every round uses at most ~2n processors (g^2 per group,
+/// s/g groups => s*g <= 2n).  Each round is one step of all-pairs
+/// loser-marking (COMMON writes of `true` agree) plus one step in which
+/// the unique unmarked processor in each group writes the winner.
+inline void charge_crcw_argopt(Machine& m, std::size_t n) {
+  m.meter().charge(1, n);  // load candidates
+  for (std::size_t s = n; s > 1;) {
+    const std::size_t g = std::min(std::max<std::size_t>(2, n / s), s);
     m.meter().charge(2, s * g, s * g + s);
-    std::vector<OptResult<T>> next(groups);
-    exec::parallel_for(groups, exec::grain_for(g), [&](std::size_t b) {
-      const std::size_t lo = b * g;
-      const std::size_t hi = std::min(s, lo + g);
-      OptResult<T> best = cand[lo];
-      for (std::size_t i = lo + 1; i < hi; ++i) {
-        if (better(cand[i], best)) best = cand[i];
-      }
-      next[b] = best;
-    });
-    cand = std::move(next);
+    s = (s + g - 1) / g;
   }
-  return cand.empty() ? OptResult<T>{} : cand[0];
 }
 
 }  // namespace detail
@@ -155,6 +142,9 @@ OptResult<T> crcw_argopt(Machine& m, std::vector<OptResult<T>> cand,
 ///   CREW            ceil(lg n)            (balanced tree)
 ///   CRCW common/arb/pri   O(lglg n)       (doubly-log cascading)
 ///   CRCW combining  1                     (min-combining write)
+/// Every model executes the same chunked pass (engine_argopt): `better`
+/// is a strict total order on (value, index), so the tree, the
+/// tournament rounds and the pass all find its one least element.
 template <class T, class Eval, class Less>
 OptResult<T> argopt(Machine& m, std::size_t n, Eval&& eval, Less&& less) {
   if (n == 0) return {};
@@ -174,12 +164,8 @@ OptResult<T> argopt(Machine& m, std::size_t n, Eval&& eval, Less&& less) {
       return detail::engine_argopt<T>(n, eval, better);
     }
     default: {  // COMMON / ARBITRARY / PRIORITY: doubly-logarithmic
-      std::vector<OptResult<T>> cand(n);
-      m.meter().charge(1, n);  // load candidates
-      exec::parallel_for(n, exec::grain_for(), [&](std::size_t i) {
-        cand[i] = {eval(i), i};
-      });
-      return detail::crcw_argopt(m, std::move(cand), better);
+      detail::charge_crcw_argopt(m, n);
+      return detail::engine_argopt<T>(n, eval, better);
     }
   }
 }

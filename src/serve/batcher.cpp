@@ -184,7 +184,6 @@ void run_row_group(std::vector<Member>& members,
     for (const std::size_t r : rows) res.push_back(all[r]);
   } else {
     pram::Machine mach(model);
-    exec::GrainScope grain(pl.grain);
     if (!inverse && !maxima) {
       res = par::monge_row_minima_rows(mach, a, rows);
     } else if (!inverse && maxima) {
@@ -253,7 +252,6 @@ void run_staircase_group(std::vector<Member>& members,
     for (const std::size_t r : rows) res.push_back(all[r]);
   } else {
     pram::Machine mach(model);
-    exec::GrainScope grain(pl.grain);
     res = maxima ? par::staircase_row_maxima_rows(mach, s, rows)
                  : par::staircase_row_minima_rows(mach, s, rows);
     charge(metrics, mach, kspan);
@@ -368,7 +366,6 @@ void run_tube_group(std::vector<Member>& members,
     return;
   }
   pram::Machine mach(model);
-  exec::GrainScope grain(pl.grain);
   auto res = maxima ? par::tube_maxima_points(mach, d->data, e->data, qs)
                     : par::tube_minima_points(mach, d->data, e->data, qs);
   charge(metrics, mach, kspan);
@@ -627,7 +624,6 @@ plan::Plan Batcher::plan_for(const plan::QueryShape& shape,
     // never touches the pool, and returns the same leftmost-optimum
     // bytes as every other variant.
     pl.algo = plan::Algo::Sequential;
-    pl.grain = 0;
     return pl;
   }
   if (fault::armed() && fault::should_fire(fault::Site::PlanCorruptPlan)) {
@@ -639,7 +635,6 @@ plan::Plan Batcher::plan_for(const plan::QueryShape& shape,
       case plan::Algo::Sequential: pl.algo = plan::Algo::Parallel; break;
       case plan::Algo::Parallel: pl.algo = plan::Algo::Brute; break;
     }
-    pl.grain = 0;
   }
   return pl;
 }
@@ -904,7 +899,10 @@ void Batcher::run_explain(const Request& req, BatchOutcome& out) {
   shape_o["batch"] = static_cast<std::int64_t>(shape.batch);
   Json::Obj plan_o;
   plan_o["algo"] = plan::algo_name(pl.algo);
-  plan_o["grain"] = static_cast<std::int64_t>(pl.grain);
+  // The engine's chunk size for unit-cost loops under the fork rule; the
+  // brute and sequential variants never reach the pool.
+  plan_o["grain"] = static_cast<std::int64_t>(
+      pl.algo == plan::Algo::Parallel ? exec::grain_for(1) : 0);
   plan_o["predicted_us"] = pl.predicted_us;
   plan_o["profile"] = planner_.profile().id;
   plan_o["planner_enabled"] = planner_.enabled();

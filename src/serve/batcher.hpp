@@ -18,8 +18,7 @@
 //
 // Planning: each group consults the execution planner (src/plan) for the
 // cheapest variant -- a brute scan of exactly the queried cells, the
-// sequential SMAWK-family solver, or the parallel kernel (with the
-// plan's grain hint).  All variants return the leftmost optimum, so the
+// sequential SMAWK-family solver, or the parallel kernel.  All variants return the leftmost optimum, so the
 // chosen algorithm is invisible in the response bytes; a disabled
 // planner reproduces the old fixed parallel dispatch exactly.
 //

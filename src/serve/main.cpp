@@ -156,13 +156,12 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   // Touch the engine knobs eagerly: the pool initializes lazily, so a
-  // malformed PMONGE_THREADS / PMONGE_GRAIN / PMONGE_TRACE would
+  // malformed PMONGE_THREADS / PMONGE_TRACE would
   // otherwise surface only on the first query large enough to fan out --
   // or never, for a service that happens to stay serial.  Fail loudly
   // before serving.
   try {
     pmonge::exec::num_threads();
-    pmonge::exec::default_grain();
     pmonge::obs::enabled();
     pmonge::fault::armed();  // PMONGE_FAULT_* typos fail here, not mid-run
   } catch (const std::exception& e) {

@@ -1,10 +1,10 @@
 // Environment-variable knob parsing shared by the execution engine, the
-// serve layer and the test/bench harnesses (PMONGE_THREADS, PMONGE_GRAIN,
+// serve layer and the test/bench harnesses (PMONGE_THREADS,
 // PMONGE_FUZZ_SEED, ...).
 //
 // All knobs are read-once at first use: the engine caches the parsed
 // value so a mid-run setenv cannot make two halves of one computation
-// disagree about a cutoff.  Malformed values fail *loudly*: a knob the
+// disagree about a setting.  Malformed values fail *loudly*: a knob the
 // operator set but we cannot honor must not be silently replaced by a
 // default -- a typo'd PMONGE_THREADS=1O would otherwise change performance
 // (or, for PMONGE_FUZZ_SEED, the test corpus) without any indication.
@@ -46,7 +46,7 @@ inline std::optional<std::uint64_t> env_uint(const char* name) {
 }
 
 /// env_uint with a default and a lower clamp (knobs like thread counts
-/// and grain sizes are meaningless at zero).  Unset/empty uses the
+/// are meaningless at zero).  Unset/empty uses the
 /// default; malformed still throws.
 inline std::uint64_t env_uint_or(const char* name, std::uint64_t def,
                                  std::uint64_t lo = 0) {

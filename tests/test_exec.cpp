@@ -8,6 +8,8 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "exec/parallel.hpp"
@@ -282,7 +284,7 @@ TEST(ExecDeterminism, PramPrimitivesIdenticalAt1And8Threads) {
 }
 
 // ---------------------------------------------------------------------------
-// SerialScope / GrainScope (the planner's execution hints)
+// SerialScope
 // ---------------------------------------------------------------------------
 
 TEST(ExecScopes, SerialScopeNestsAndRestores) {
@@ -332,43 +334,145 @@ TEST(ExecScopes, SerialScopeLeavesResultsAndChargesUnchanged) {
   EXPECT_EQ(m_par.meter().work, m_ser.meter().work);
 }
 
-TEST(ExecScopes, GrainScopeOverridesAndRestores) {
-  EXPECT_EQ(exec::grain_override(), 0u);
-  {
-    exec::GrainScope g(512);
-    EXPECT_EQ(exec::grain_override(), 512u);
-    EXPECT_EQ(exec::grain_for(1), 512u);
-    EXPECT_EQ(exec::grain_for(4), 128u);  // cost hint still divides
-    {
-      exec::GrainScope inner(64);
-      EXPECT_EQ(exec::grain_override(), 64u);
-    }
-    EXPECT_EQ(exec::grain_override(), 512u);
-  }
-  EXPECT_EQ(exec::grain_override(), 0u);
-  // Grain 0 means "no override": the default grain applies.
-  exec::GrainScope none(0);
-  EXPECT_EQ(exec::grain_for(1), exec::default_grain());
+// ---------------------------------------------------------------------------
+// The fork rule: predicted work at most kappa runs in place, more forks
+// ---------------------------------------------------------------------------
+
+/// Pool batches submitted while `f` runs.
+template <class F>
+std::uint64_t batches_during(F&& f) {
+  const std::uint64_t b0 = exec::pool_stats().batches;
+  f();
+  return exec::pool_stats().batches - b0;
 }
 
-TEST(ExecScopes, GrainOverrideCannotChangeArgoptResults) {
+TEST(ForkRule, ChunkSizesFollowKappa) {
+  EXPECT_EQ(exec::grain_for(1), exec::kForkWork);
+  EXPECT_EQ(exec::grain_for(4), exec::kForkWork / 4);  // cost hint divides
+  EXPECT_EQ(exec::grain_for(exec::kForkWork + 1), 1u);  // never below 1
+  // A fork predicted at most kappa is one chunk of all its tasks ...
+  EXPECT_EQ(exec::task_grain(3, exec::kForkWork - 1), 3u);
+  EXPECT_EQ(exec::task_grain(3, exec::kForkWork), 3u);
+  // ... and one predicted above it always leaves at least two chunks.
+  for (std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{64}}) {
+    const std::size_t g = exec::task_grain(n, exec::kForkWork + 1);
+    EXPECT_GE(g, 1u);
+    EXPECT_GE((n + g - 1) / g, 2u) << n;
+  }
+}
+
+TEST(ForkRule, BranchesStraddlingKappa) {
+  // The same 3-branch fork predicted just below, at and just above
+  // kappa: identical results and charges at 1 and 8 threads; the pool
+  // sees it only above kappa.
   ThreadGuard tg;
-  exec::set_num_threads(8);
-  Rng rng(78);
-  const auto a = monge::random_monge(80, 80, rng);
-  Machine m_default(Model::CRCW_COMMON);
-  const auto r_default = par::monge_row_minima(m_default, a);
-  for (std::size_t grain : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
-    exec::GrainScope g(grain);
-    Machine m(Model::CRCW_COMMON);
-    const auto r = par::monge_row_minima(m, a);
-    ASSERT_EQ(r.size(), r_default.size());
-    for (std::size_t i = 0; i < r.size(); ++i) {
-      EXPECT_EQ(r[i].value, r_default[i].value) << "grain " << grain;
-      EXPECT_EQ(r[i].col, r_default[i].col) << "grain " << grain;
+  for (std::uint64_t work :
+       {exec::kForkWork - 1, exec::kForkWork, exec::kForkWork + 1}) {
+    auto run = [&](std::vector<int>& out) {
+      Machine m(Model::CRCW_COMMON);
+      m.parallel_branches(3, work, [&](std::size_t b, Machine& sub) {
+        sub.meter().charge(b + 1, 10 * (b + 1));
+        out[b] = static_cast<int>(b * b);
+      });
+      return cost_of(m);
+    };
+    exec::set_num_threads(1);
+    std::vector<int> r1(3);
+    const Cost c1 = run(r1);
+    exec::set_num_threads(8);
+    std::vector<int> r8(3);
+    Cost c8{};
+    const std::uint64_t batches = batches_during([&] { c8 = run(r8); });
+    EXPECT_EQ(r1, r8) << work;
+    EXPECT_EQ(c1, c8) << work;
+    EXPECT_EQ(c1, (Cost{3, 140, 60})) << work;
+    if (work <= exec::kForkWork) {
+      EXPECT_EQ(batches, 0u) << work;
+    } else {
+      EXPECT_GE(batches, 1u) << work;
     }
-    EXPECT_EQ(m.meter().time, m_default.meter().time) << "grain " << grain;
-    EXPECT_EQ(m.meter().work, m_default.meter().work) << "grain " << grain;
+  }
+}
+
+TEST(ForkRule, ArgoptStraddlingKappa) {
+  // argopt's pass chunks at grain_for(2): 2 * 2500 = kappa runs in place,
+  // 2501 candidates fork.  Winner and charges never move.
+  ThreadGuard tg;
+  Rng rng(91);
+  std::vector<std::int64_t> xs(exec::kForkWork / 2 + 1);
+  for (auto& x : xs) x = rng.uniform_int(0, 9);  // many ties
+  for (std::size_t n : {xs.size() - 2, xs.size() - 1, xs.size()}) {
+    auto run = [&] {
+      Machine m(Model::CRCW_COMMON);
+      const auto r = pram::argopt<std::int64_t>(
+          m, n, [&](std::size_t i) { return xs[i]; },
+          [](const std::int64_t& a, const std::int64_t& b) { return a < b; });
+      return std::tuple{r.value, r.index, cost_of(m)};
+    };
+    exec::set_num_threads(1);
+    const auto r1 = run();
+    exec::set_num_threads(8);
+    std::tuple<std::int64_t, std::size_t, Cost> r8;
+    const std::uint64_t batches = batches_during([&] { r8 = run(); });
+    EXPECT_EQ(r1, r8) << n;
+    if (2 * n <= exec::kForkWork) {
+      EXPECT_EQ(batches, 0u) << n;
+    } else {
+      EXPECT_EQ(batches, 1u) << n;
+    }
+  }
+}
+
+TEST(ForkRule, RowSearchesStraddlingKappa) {
+  // Four-row searches fork their rows with scan_work(4, n) = 28n
+  // predicted: 178 columns sit just below kappa (4984), 179 just above
+  // (5012).  Squares of side 59 and 60 put the whole recursion's
+  // rowmin_work either side of kappa; 256 is far above.  Bytes and
+  // charges must match 1 thread exactly everywhere.
+  ThreadGuard tg;
+  Rng rng(92);
+  static_assert(7 * 4 * 178 < exec::kForkWork &&
+                7 * 4 * 179 > exec::kForkWork);
+  const std::vector<std::size_t> four = {3, 17, 40, 63};
+  for (std::size_t n : {std::size_t{178}, std::size_t{179}}) {
+    const auto a = monge::random_monge(64, n, rng, 2, 9);
+    auto run = [&] {
+      Machine m(Model::CRCW_COMMON);
+      auto r = par::monge_row_minima_rows(m, a, four);
+      return std::pair{r, cost_of(m)};
+    };
+    exec::set_num_threads(1);
+    const auto r1 = run();
+    exec::set_num_threads(8);
+    std::pair<std::vector<monge::RowOpt<std::int64_t>>, Cost> r8;
+    const std::uint64_t batches = batches_during([&] { r8 = run(); });
+    EXPECT_EQ(r1, r8) << n;
+    if (par::scan_work(four.size(), n) <= exec::kForkWork) {
+      EXPECT_EQ(batches, 0u) << n;
+    } else {
+      EXPECT_GE(batches, 1u) << n;
+    }
+  }
+  EXPECT_LT(par::rowmin_work(59, 59), exec::kForkWork);
+  EXPECT_GT(par::rowmin_work(60, 60), exec::kForkWork);
+  for (std::size_t side : {std::size_t{59}, std::size_t{60}, std::size_t{256}}) {
+    const auto a = monge::random_monge(side, side, rng, 2, 9);
+    auto run = [&] {
+      Machine m(Model::CRCW_COMMON);
+      auto r = par::monge_row_minima(m, a);
+      return std::pair{r, cost_of(m)};
+    };
+    exec::set_num_threads(1);
+    const auto r1 = run();
+    exec::set_num_threads(8);
+    std::pair<std::vector<monge::RowOpt<std::int64_t>>, Cost> r8;
+    const std::uint64_t batches = batches_during([&] { r8 = run(); });
+    EXPECT_EQ(r1, r8) << side;
+    if (side == 59) {
+      EXPECT_EQ(batches, 0u);
+    } else if (side == 256) {
+      EXPECT_GE(batches, 1u);
+    }
   }
 }
 

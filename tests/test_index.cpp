@@ -6,9 +6,9 @@
 //     submatrix_direct variant (brute / sequential SMAWK / chunked
 //     parallel) over seeded random monge / inverse-Monge / staircase
 //     arrays, across thread counts;
-//   * serial-cutoff bit-identity -- arrays straddling
-//     par::kSerialCutoffCells build serially vs on the pool and must
-//     answer identically;
+//   * fork-rule bit-identity -- arrays whose predicted build work
+//     straddles the exec fork rule's kappa build in place vs on the pool
+//     and must answer identically;
 //   * serve differential -- the same submatrix stream against a service
 //     with the index built and one without, byte-compared;
 //   * invalidation -- unregister drops the index; later submatrix
@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/fault.hpp"
 #include "index/index.hpp"
@@ -202,20 +203,29 @@ TEST_F(IndexTest, EmptyStaircaseRegionHasNoValue) {
 }
 
 // ---------------------------------------------------------------------------
-// Serial cutoff: builds below/above the cutoff answer identically
+// Fork rule: builds either side of kappa answer identically
 // ---------------------------------------------------------------------------
 
-TEST_F(IndexTest, SerialCutoffBitIdentity) {
-  // 60x60 = 3600 cells sits under par::kSerialCutoffCells (4096): the
-  // build never touches the pool.  70x70 sits above: leaf jobs go
-  // through exec::parallel_jobs.  Either way the answers match brute,
-  // and a 1-thread build matches an 8-thread build field for field.
-  static_assert(par::kSerialCutoffCells == 4096);
-  for (const std::size_t m : {60u, 70u}) {
+TEST_F(IndexTest, ForkRuleStraddleBitIdentity) {
+  // A dense m x m build predicts 2 * 7 * (rows + m) work per 64-row leaf.
+  // At m = 119 its two leaves sum to 4998, at most kappa: the build stays
+  // on the calling thread.  At m = 120 they sum to 5040 and the leaves go
+  // to the pool.  Either way the answers match brute, and a 1-thread
+  // build matches an 8-thread build field for field.
+  static_assert(14 * (64 + 119) + 14 * (55 + 119) <= exec::kForkWork &&
+                14 * (64 + 120) + 14 * (56 + 120) > exec::kForkWork);
+  for (const std::size_t m : {119u, 120u}) {
     const auto entry = make_entry("monge", m, m, 99);
     exec::set_num_threads(8);
     Index par_idx(entry);
+    const std::uint64_t b0 = exec::pool_stats().batches;
     par_idx.build();
+    const std::uint64_t batches = exec::pool_stats().batches - b0;
+    if (m == 119) {
+      EXPECT_EQ(batches, 0u) << "a build below kappa reached the pool";
+    } else {
+      EXPECT_GE(batches, 1u) << "a build above kappa stayed in place";
+    }
     exec::set_num_threads(1);
     Index ser_idx(entry);
     ser_idx.build();

@@ -1,8 +1,8 @@
 // Planner tests: cost-model monotonicity, profile persistence (loud
 // failures), shape-class memoization, and the serve-layer contracts --
 // explain is well-formed for every query op, and the chosen variant is
-// invisible in response bytes across shapes straddling the serial
-// cutoff and the cost-model crossovers.
+// invisible in response bytes across shapes straddling the exec fork
+// rule's kappa and the cost-model crossovers.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -83,7 +83,6 @@ TEST(Planner, DisabledPlannerIsTheFixedParallelDispatch) {
   for (const OpClass op : kOps) {
     const Plan pl = p.plan({op, 8, 8, 1});
     EXPECT_EQ(pl.algo, Algo::Parallel);
-    EXPECT_EQ(pl.grain, 0u);  // engine default, exactly the old behavior
   }
 }
 
@@ -115,7 +114,6 @@ TEST(Planner, SmallShapesAvoidTheParallelKernel) {
       << "an 8x8 single-row query should not pay pool dispatch";
   const Plan big = p.plan({OpClass::RowSearch, 1u << 14, 1u << 14, 1u << 10});
   EXPECT_EQ(big.algo, Algo::Parallel);
-  EXPECT_GE(big.grain, 1u);
 }
 
 TEST(Planner, PredictedCostMonotoneInOperandSize) {
@@ -315,15 +313,20 @@ TEST(Explain, RejectsMalformedWrappers) {
 // Differential bit-identity across the planner's choice space
 // ---------------------------------------------------------------------------
 
-/// Shapes chosen to straddle the par:: small-n serial cutoff
-/// (kSerialCutoffCells cells) and the cost-model crossovers.
+/// Shapes chosen to straddle the exec fork rule's kappa and the
+/// cost-model crossovers.  Each array's 8 coalesced row queries are one
+/// 8-row search, which forks ceil(cols / 8) column blocks predicted at
+/// rowmin_work(8, 8) = 448 each: 88 columns stay at or below kappa
+/// (4928), 89 go above it (5376), 128 well above.
 std::vector<std::string> straddle_workload(Service& svc) {
-  static_assert(par::kSerialCutoffCells == 4096,
-                "shape choices below assume the 4096-cell cutoff");
+  static_assert(11 * 7 * 16 * 4 <= exec::kForkWork &&
+                    12 * 7 * 16 * 4 > exec::kForkWork,
+                "shape choices below assume kappa sits between 11 and 12 "
+                "8x8 blocks");
   std::vector<std::string> out;
-  out.push_back(reg_random(svc, 63, 65, 31));          // 4095 cells: below
-  out.push_back(reg_random(svc, 64, 64, 32));          // 4096: at the cutoff
-  out.push_back(reg_random(svc, 66, 64, 33));          // 4224: above
+  out.push_back(reg_random(svc, 64, 88, 31));          // just below kappa
+  out.push_back(reg_random(svc, 64, 89, 32));          // just above
+  out.push_back(reg_random(svc, 66, 128, 33));         // well above
   out.push_back(reg_random(svc, 63, 65, 34, "staircase"));
   out.push_back(reg_random(svc, 66, 64, 35, "staircase"));
   out.push_back(reg_random(svc, 64, 8, 36));           // tube d (id 5)
@@ -354,7 +357,7 @@ std::vector<std::string> straddle_workload(Service& svc) {
   return out;
 }
 
-TEST(Differential, PlanChoiceInvisibleAcrossCutoffStraddlingShapes) {
+TEST(Differential, PlanChoiceInvisibleAcrossKappaStraddlingShapes) {
   ThreadGuard tg;
   exec::set_num_threads(4);
   plan::CostProfile serial = plan::builtin_profile();

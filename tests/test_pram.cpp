@@ -3,6 +3,8 @@
 // charged depths of argopt under each submodel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -130,6 +132,84 @@ TEST(Argopt, CombiningDepthIsConstant) {
   xs[4] = 0;
   min_element_par<int>(m, xs);
   EXPECT_EQ(m.meter().time, 1u);
+}
+
+/// The CRCW argopt as the simulator executed it before argopt charged the
+/// doubly-logarithmic schedule analytically: load every candidate, then
+/// run each tournament round for real, charging as it goes.  (COMBINING
+/// was one charged step and a leftmost scan then too.)  Kept as the
+/// reference the one-pass execution must equal in winner and charges.
+template <class T, class Eval, class Less>
+OptResult<T> round_by_round_argopt(Machine& m, std::size_t n, Eval&& eval,
+                                   Less&& less) {
+  auto better = [&](const OptResult<T>& a, const OptResult<T>& b) {
+    if (less(a.value, b.value)) return true;
+    if (less(b.value, a.value)) return false;
+    return a.index < b.index;
+  };
+  std::vector<OptResult<T>> cand(n);
+  m.meter().charge(1, n);  // load candidates
+  for (std::size_t i = 0; i < n; ++i) cand[i] = {eval(i), i};
+  if (m.model() == Model::CRCW_COMBINING) {
+    OptResult<T> best = cand[0];
+    for (std::size_t i = 1; i < n; ++i) {
+      if (better(cand[i], best)) best = cand[i];
+    }
+    return best;
+  }
+  while (cand.size() > 1) {
+    const std::size_t s = cand.size();
+    std::size_t g = std::max<std::size_t>(2, n / s);
+    g = std::min(g, s);
+    const std::size_t groups = (s + g - 1) / g;
+    m.meter().charge(2, s * g, s * g + s);
+    std::vector<OptResult<T>> next(groups);
+    for (std::size_t b = 0; b < groups; ++b) {
+      const std::size_t lo = b * g;
+      const std::size_t hi = std::min(s, lo + g);
+      OptResult<T> best = cand[lo];
+      for (std::size_t i = lo + 1; i < hi; ++i) {
+        if (better(cand[i], best)) best = cand[i];
+      }
+      next[b] = best;
+    }
+    cand = std::move(next);
+  }
+  return cand[0];
+}
+
+TEST(Argopt, CrcwOnePassMatchesRoundByRoundReference) {
+  Rng rng(2024);
+  std::vector<std::int64_t> xs(5000);
+  for (auto& x : xs) x = rng.uniform_int(0, 40);  // ties at every size
+  auto eval = [&](std::size_t i) { return xs[i]; };
+  auto less = [](const std::int64_t& a, const std::int64_t& b) {
+    return a < b;
+  };
+  auto greater = [](const std::int64_t& a, const std::int64_t& b) {
+    return b < a;
+  };
+  for (const Model model : {Model::CRCW_COMMON, Model::CRCW_ARBITRARY,
+                            Model::CRCW_PRIORITY, Model::CRCW_COMBINING}) {
+    for (std::size_t n = 1; n <= xs.size(); ++n) {
+      Machine got_m(model), want_m(model);
+      const bool maxima = n % 2 == 0;
+      const auto got = maxima ? argopt<std::int64_t>(got_m, n, eval, greater)
+                              : argopt<std::int64_t>(got_m, n, eval, less);
+      const auto want =
+          maxima ? round_by_round_argopt<std::int64_t>(want_m, n, eval, greater)
+                 : round_by_round_argopt<std::int64_t>(want_m, n, eval, less);
+      ASSERT_EQ(got.value, want.value) << model_name(model) << " n=" << n;
+      ASSERT_EQ(got.index, want.index) << model_name(model) << " n=" << n;
+      ASSERT_EQ(got_m.meter().time, want_m.meter().time)
+          << model_name(model) << " n=" << n;
+      ASSERT_EQ(got_m.meter().work, want_m.meter().work)
+          << model_name(model) << " n=" << n;
+      ASSERT_EQ(got_m.meter().peak_processors,
+                want_m.meter().peak_processors)
+          << model_name(model) << " n=" << n;
+    }
+  }
 }
 
 TEST(Scans, ExclusiveScanMatchesSequential) {

@@ -485,9 +485,11 @@ TEST(RpcServer, SlowReaderIsPausedWithBoundedMemoryThenRecovers) {
 }
 
 TEST(RpcServer, InflightValvePausesReadsButAnswersEverything) {
-  // Query ops (not control ops) so responses need a worker round trip:
-  // a pipelined burst must outrun the worker and trip the inflight
-  // valve at least once, yet every request still gets its answer.
+  // Query ops (not control ops) so responses need a worker round trip,
+  // and 200 distinct rows so none is a cache hit the loop could answer
+  // inline: every request sits in the pending FIFO until the worker
+  // answers it, so a pipelined burst trips the inflight valve at least
+  // once, yet every request still gets its answer.
   rpc::ServerOptions ropts;
   ropts.limits.max_inflight = 2;
   ropts.limits.overload_inflight = 512;
@@ -495,12 +497,12 @@ TEST(RpcServer, InflightValvePausesReadsButAnswersEverything) {
   rpc::Client c = ts.connect();
   ASSERT_EQ(
       c.request(
-          R"({"op":"register_random","id":1,"rows":16,"cols":16,"seed":3})"),
+          R"({"op":"register_random","id":1,"rows":256,"cols":16,"seed":3})"),
       R"({"id":1,"ok":true,"result":{"array":0}})");
   std::vector<std::string> reqs;
   for (int i = 1; i <= 200; ++i) {
     reqs.push_back(R"({"op":"rowmin","id":)" + std::to_string(i) +
-                   R"(,"array":0,"row":)" + std::to_string(i % 16) + "}");
+                   R"(,"array":0,"row":)" + std::to_string(i) + "}");
   }
   const std::vector<std::string> resps = c.pipeline(reqs);
   ASSERT_EQ(resps.size(), reqs.size());

@@ -75,8 +75,9 @@ TEST(EnvUint, MalformedThrowsQuotingTheValue) {
 }
 
 TEST(EnvUint, OutOfRangeThrows) {
-  EnvVarGuard g("PMONGE_GRAIN", "99999999999999999999999999");
-  EXPECT_THROW((void)support::env_uint("PMONGE_GRAIN"), std::invalid_argument);
+  EnvVarGuard g("PMONGE_THREADS", "99999999999999999999999999");
+  EXPECT_THROW((void)support::env_uint("PMONGE_THREADS"),
+               std::invalid_argument);
 }
 
 TEST(EnvUintOr, DefaultAndClamp) {
