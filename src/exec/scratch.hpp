@@ -16,11 +16,17 @@
 //   * Scopes nest LIFO per thread.  Work submitted to the pool runs the
 //     child body on some worker's own arena, so a parent's scratch is
 //     never rewound by a child.
-//   * Scratch handed to parallel children must be read-only in the
-//     children (the parent frame outlives the branch join, so the
-//     pointers stay valid).
+//   * Scratch a parent frame allocated before a fork may be handed to
+//     its parallel children: they may read it, and write *disjoint*
+//     slots of it -- each child only its own (its rows, its block, its
+//     job's results).  The parent frame outlives the branch join and
+//     arena chunks never move, so the pointers stay valid; disjoint
+//     slots are the same independence the simulated machine already
+//     requires of `out`.  The parent allocates nothing from its scope
+//     while children run.
 //   * Never return scratch-backed containers from the function that
-//     opened the scope; results that escape stay on std::vector.
+//     opened the scope; results that escape the entry point stay on
+//     std::vector (or in a caller-owned span).
 #pragma once
 
 #include <vector>

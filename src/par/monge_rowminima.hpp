@@ -32,14 +32,16 @@
 // alone.  Branch bodies write only disjoint slots of `out` / `block`
 // (their branch's rows), which is the independence the simulated machine
 // already required; `eval` must be a pure read.
-// Scratch discipline: the recursion's bookkeeping temporaries (sampled
-// positions, bracket lists, iota row vectors) live on the calling
-// thread's bump arena (exec/scratch.hpp) -- built before any fan-out,
-// read-only inside parallel branches, rewound on frame exit.  Branch-
-// written result carriers (`out`, `block`) stay std::vector: children
-// run on other threads and move their results in.
+// Memory: the recursion writes into caller-owned spans and allocates
+// nothing on the heap.  A frame's temporaries (sampled positions and
+// their results, bracket lists, Case 2's block winners) live on the
+// calling thread's bump arena (exec/scratch.hpp), allocated before any
+// fan-out and rewound on frame exit; branches on other threads write
+// disjoint slots of them, which the frame outlives.  Only the public
+// entry points allocate, for the std::vector they return.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -88,15 +90,14 @@ RowOpt<T> row_range_opt(pram::Machine& m, const EvalF& eval, std::size_t row,
 }
 
 /// Core recursion: leftmost (PreferLeft) or rightmost row minima of the
-/// Monge array eval restricted to `rows` x [clo, chi].  Returns results
-/// aligned with `rows`; column indices are global.
+/// Monge array eval restricted to `rows` x [clo, chi], written into
+/// `out` (aligned with `rows`); column indices are global.
 template <bool PreferLeft, class T, class EvalF>
-std::vector<RowOpt<T>> rowmin_rec(pram::Machine& mach, const EvalF& eval,
-                                  std::span<const std::size_t> rows,
-                                  std::size_t clo, std::size_t chi) {
+void rowmin_rec(pram::Machine& mach, const EvalF& eval,
+                std::span<const std::size_t> rows, std::size_t clo,
+                std::size_t chi, std::span<RowOpt<T>> out) {
   const std::size_t m = rows.size();
-  std::vector<RowOpt<T>> out(m);
-  if (m == 0) return out;
+  if (m == 0) return;
   const std::size_t n = chi - clo + 1;
 
   if (m <= 4 || n <= 4 || m * n <= 64) {
@@ -104,32 +105,39 @@ std::vector<RowOpt<T>> rowmin_rec(pram::Machine& mach, const EvalF& eval,
                                                    pram::Machine& sub) {
       out[i] = row_range_opt<PreferLeft, T>(sub, eval, rows[i], clo, chi);
     });
-    return out;
+    return;
   }
 
+  // Frame scratch, allocated before any fan-out and rewound on return.
+  // Branches read it, and write only their own slots of it.
+  exec::ScratchScope scratch;
+
   if (n > m) {
-    // Lemma 2.1 Case 2: column blocks of <= m columns solved in parallel,
-    // then per-row argopt over block winners (ordered so index ties give
-    // the right tie policy on the global column).
+    // Lemma 2.1 Case 2: column blocks of <= m columns solved in parallel
+    // (block b's winners in block[b*m, b*m + m)), then per-row argopt
+    // over block winners (ordered so index ties give the right tie
+    // policy on the global column).
     const std::size_t nb = (n + m - 1) / m;
-    std::vector<std::vector<RowOpt<T>>> block(nb);
+    auto block = exec::scratch_vector<RowOpt<T>>(nb * m);
+    const std::span<RowOpt<T>> blocks(block.data(), block.size());
     mach.parallel_branches(nb, nb * rowmin_work(m, m), [&](std::size_t b,
                                                            pram::Machine& sub) {
       const std::size_t lo = clo + b * m;
       const std::size_t hi = std::min(chi, lo + m - 1);
-      block[b] = rowmin_rec<PreferLeft, T>(sub, eval, rows, lo, hi);
+      rowmin_rec<PreferLeft, T>(sub, eval, rows, lo, hi,
+                                blocks.subspan(b * m, m));
     });
     mach.parallel_branches(m, scan_work(m, nb), [&](std::size_t i,
                                                     pram::Machine& sub) {
+      auto at = [&](std::size_t b) -> const RowOpt<T>& {
+        return blocks[(PreferLeft ? b : nb - 1 - b) * m + i];
+      };
       auto res = pram::argopt<T>(
-          sub, nb,
-          [&](std::size_t b) {
-            return block[PreferLeft ? b : nb - 1 - b][i].value;
-          },
+          sub, nb, [&](std::size_t b) { return at(b).value; },
           [](const T& x, const T& y) { return x < y; });
-      out[i] = block[PreferLeft ? res.index : nb - 1 - res.index][i];
+      out[i] = at(res.index);
     });
-    return out;
+    return;
   }
 
   // Sample stride: sqrt for squares, ceil(m/n) when m > n (Case 1, whose
@@ -139,17 +147,17 @@ std::vector<RowOpt<T>> rowmin_rec(pram::Machine& mach, const EvalF& eval,
       recurse_groups ? std::max<std::size_t>(2, pmonge::isqrt(m))
                      : (m + n - 1) / n;
 
-  // Frame scratch: sampled positions/rows and the bracket list are built
-  // before any fan-out, read-only in the branches, rewound on return.
-  exec::ScratchScope scratch;
   auto sampled_pos = exec::scratch_vector<std::size_t>();
+  sampled_pos.reserve(m / stride + 1);
   for (std::size_t p = stride - 1; p < m; p += stride) sampled_pos.push_back(p);
   if (sampled_pos.empty()) sampled_pos.push_back(m - 1);
   auto sampled_rows = exec::scratch_vector<std::size_t>(sampled_pos.size());
   for (std::size_t t = 0; t < sampled_pos.size(); ++t) {
     sampled_rows[t] = rows[sampled_pos[t]];
   }
-  auto sub = rowmin_rec<PreferLeft, T>(mach, eval, sampled_rows, clo, chi);
+  auto sub = exec::scratch_vector<RowOpt<T>>(sampled_pos.size());
+  rowmin_rec<PreferLeft, T>(mach, eval, sampled_rows, clo, chi,
+                            std::span<RowOpt<T>>(sub.data(), sub.size()));
   mach.meter().charge(1, sub.size());
   for (std::size_t t = 0; t < sampled_pos.size(); ++t) {
     out[sampled_pos[t]] = sub[t];
@@ -163,6 +171,7 @@ std::vector<RowOpt<T>> rowmin_rec(pram::Machine& mach, const EvalF& eval,
     std::size_t lo, hi;  // global column bracket
   };
   auto groups = exec::scratch_vector<Bracket>();
+  groups.reserve(sampled_pos.size() + 1);
   std::uint64_t groups_work = 0;
   std::size_t prev_pos = 0;
   std::size_t prev_col = clo;
@@ -190,33 +199,35 @@ std::vector<RowOpt<T>> rowmin_rec(pram::Machine& mach, const EvalF& eval,
                                                          pram::Machine& gm) {
     const Bracket& b = groups[g];
     const auto grows = rows.subspan(b.p0, b.p1 - b.p0);
+    const auto gout = out.subspan(b.p0, b.p1 - b.p0);
     if (recurse_groups) {
-      auto res = rowmin_rec<PreferLeft, T>(gm, eval, grows, b.lo, b.hi);
-      gm.meter().charge(1, res.size());
-      for (std::size_t i = 0; i < res.size(); ++i) out[b.p0 + i] = res[i];
+      rowmin_rec<PreferLeft, T>(gm, eval, grows, b.lo, b.hi, gout);
+      gm.meter().charge(1, grows.size());
     } else {
       gm.parallel_branches(grows.size(),
                            scan_work(grows.size(), b.hi - b.lo + 1),
                            [&](std::size_t i, pram::Machine& rm) {
-        out[b.p0 + i] =
-            row_range_opt<PreferLeft, T>(rm, eval, grows[i], b.lo, b.hi);
+        gout[i] = row_range_opt<PreferLeft, T>(rm, eval, grows[i], b.lo, b.hi);
       });
     }
   });
-  return out;
 }
 
+/// Row minima of the m x n array `eval` into `out` (size m); rows of an
+/// empty array report {inf, kNoCol}.
 template <bool PreferLeft, class T, class EvalF>
-std::vector<RowOpt<T>> rowmin_entry(pram::Machine& mach, std::size_t m,
-                                    std::size_t n, const EvalF& eval) {
-  std::vector<RowOpt<T>> empty_out(m, RowOpt<T>{monge::inf<T>(), kNoCol});
-  if (m == 0 || n == 0) return empty_out;
+void rowmin_entry(pram::Machine& mach, std::size_t m, std::size_t n,
+                  const EvalF& eval, std::span<RowOpt<T>> out) {
+  if (m == 0 || n == 0) {
+    std::fill(out.begin(), out.end(), RowOpt<T>{monge::inf<T>(), kNoCol});
+    return;
+  }
   exec::ScratchScope scratch;  // outlives the recursion; rows is read-only
   auto rows = exec::scratch_vector<std::size_t>(m);
   for (std::size_t i = 0; i < m; ++i) rows[i] = i;
-  return rowmin_rec<PreferLeft, T>(
+  rowmin_rec<PreferLeft, T>(
       mach, eval, std::span<const std::size_t>(rows.data(), rows.size()), 0,
-      n - 1);
+      n - 1, out);
 }
 
 /// Batched entry: same recursion restricted to an explicit strictly-
@@ -233,11 +244,40 @@ std::vector<RowOpt<T>> rowmin_rows_entry(pram::Machine& mach,
     PMONGE_REQUIRE(i == 0 || rows[i - 1] < rows[i],
                    "batched row queries must be strictly increasing");
   }
-  if (rows.empty() || n == 0) {
-    return std::vector<RowOpt<T>>(rows.size(),
-                                  RowOpt<T>{monge::inf<T>(), kNoCol});
+  std::vector<RowOpt<T>> out(rows.size(),
+                             RowOpt<T>{monge::inf<T>(), kNoCol});
+  if (!rows.empty() && n > 0) {
+    rowmin_rec<PreferLeft, T>(mach, eval, rows, 0, n - 1,
+                              std::span<RowOpt<T>>(out));
   }
-  return rowmin_rec<PreferLeft, T>(mach, eval, rows, 0, n - 1);
+  return out;
+}
+
+/// Leftmost row minima of a Monge array into `out` (size a.rows()): the
+/// caller-owned form of monge_row_minima, for kernels that search many
+/// subarrays into one result buffer.
+template <Array2D A>
+void monge_row_minima_into(pram::Machine& mach, const A& a,
+                           std::span<RowOpt<typename A::value_type>> out) {
+  using T = typename A::value_type;
+  auto eval = [&a](std::size_t i, std::size_t j) { return a(i, j); };
+  rowmin_entry<true, T>(mach, a.rows(), a.cols(), eval, out);
+}
+
+/// Leftmost row maxima of a Monge array into `out` (size a.rows()), via
+/// the negate + reverse-columns reduction with a rightmost-tie core.
+template <Array2D A>
+void monge_row_maxima_into(pram::Machine& mach, const A& a,
+                           std::span<RowOpt<typename A::value_type>> out) {
+  using T = typename A::value_type;
+  const std::size_t n = a.cols();
+  auto eval = [&a, n](std::size_t i, std::size_t j) {
+    return -a(i, n - 1 - j);
+  };
+  rowmin_entry<false, T>(mach, a.rows(), n, eval, out);
+  for (auto& r : out) {
+    r = {-r.value, r.col == kNoCol ? kNoCol : n - 1 - r.col};
+  }
 }
 
 }  // namespace detail
@@ -248,9 +288,9 @@ std::vector<RowOpt<T>> rowmin_rows_entry(pram::Machine& mach,
 template <Array2D A>
 std::vector<RowOpt<typename A::value_type>> monge_row_minima(
     pram::Machine& mach, const A& a) {
-  using T = typename A::value_type;
-  auto eval = [&a](std::size_t i, std::size_t j) { return a(i, j); };
-  return detail::rowmin_entry<true, T>(mach, a.rows(), a.cols(), eval);
+  std::vector<RowOpt<typename A::value_type>> out(a.rows());
+  detail::monge_row_minima_into(mach, a, std::span(out));
+  return out;
 }
 
 /// Leftmost row maxima of a Monge array (Table 1.1's problem), via the
@@ -258,16 +298,9 @@ std::vector<RowOpt<typename A::value_type>> monge_row_minima(
 template <Array2D A>
 std::vector<RowOpt<typename A::value_type>> monge_row_maxima(
     pram::Machine& mach, const A& a) {
-  using T = typename A::value_type;
-  const std::size_t n = a.cols();
-  auto eval = [&a, n](std::size_t i, std::size_t j) {
-    return -a(i, n - 1 - j);
-  };
-  auto mins = detail::rowmin_entry<false, T>(mach, a.rows(), n, eval);
-  for (auto& r : mins) {
-    r = {-r.value, r.col == kNoCol ? kNoCol : n - 1 - r.col};
-  }
-  return mins;
+  std::vector<RowOpt<typename A::value_type>> out(a.rows());
+  detail::monge_row_maxima_into(mach, a, std::span(out));
+  return out;
 }
 
 /// Leftmost row maxima of an inverse-Monge array (e.g. the convex-polygon
@@ -277,7 +310,9 @@ std::vector<RowOpt<typename A::value_type>> inverse_monge_row_maxima(
     pram::Machine& mach, const A& a) {
   using T = typename A::value_type;
   auto eval = [&a](std::size_t i, std::size_t j) { return -a(i, j); };
-  auto mins = detail::rowmin_entry<true, T>(mach, a.rows(), a.cols(), eval);
+  std::vector<RowOpt<T>> mins(a.rows());
+  detail::rowmin_entry<true, T>(mach, a.rows(), a.cols(), eval,
+                                std::span(mins));
   for (auto& r : mins) r.value = -r.value;
   return mins;
 }
@@ -291,7 +326,8 @@ std::vector<RowOpt<typename A::value_type>> inverse_monge_row_minima(
   auto eval = [&a, n](std::size_t i, std::size_t j) {
     return a(i, n - 1 - j);
   };
-  auto mins = detail::rowmin_entry<false, T>(mach, a.rows(), n, eval);
+  std::vector<RowOpt<T>> mins(a.rows());
+  detail::rowmin_entry<false, T>(mach, a.rows(), n, eval, std::span(mins));
   for (auto& r : mins) {
     if (r.col != kNoCol) r.col = n - 1 - r.col;
   }

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "exec/scratch.hpp"
@@ -153,15 +154,24 @@ void staircase_colsplit(pram::Machine& mach,
   mach.parallel_branches(2, work, [&](std::size_t h, pram::Machine& sub) {
     if (h == 0) {
       if (split > r0) {
-        // Left half is fully alive for these rows: one Monge batch...
-        monge::SubArray<A> block(s.base(), r0, split - r0, c0, mid - c0);
-        auto res = Minima ? monge_row_minima(sub, block)
-                          : monge_row_maxima(sub, block);
-        sub.meter().charge(1, split - r0);
-        for (std::size_t t = 0; t < res.size(); ++t) {
-          RowOpt<T> cand = res[t];
-          if (cand.col != monge::kNoCol) cand.col += c0;
-          if (better(cand, out[r0 + t])) out[r0 + t] = cand;
+        {
+          // Left half is fully alive for these rows: one Monge batch,
+          // into scratch of the thread running this branch...
+          exec::ScratchScope branch_scratch;
+          monge::SubArray<A> block(s.base(), r0, split - r0, c0, mid - c0);
+          auto res = exec::scratch_vector<RowOpt<T>>(split - r0);
+          const std::span<RowOpt<T>> rs(res.data(), res.size());
+          if (Minima) {
+            monge_row_minima_into(sub, block, rs);
+          } else {
+            monge_row_maxima_into(sub, block, rs);
+          }
+          sub.meter().charge(1, split - r0);
+          for (std::size_t t = 0; t < rs.size(); ++t) {
+            RowOpt<T> cand = rs[t];
+            if (cand.col != monge::kNoCol) cand.col += c0;
+            if (better(cand, out[r0 + t])) out[r0 + t] = cand;
+          }
         }
         // ...and their tail recurses right.
         staircase_colsplit<Minima>(sub, s, r0, split, mid, c1, out);
@@ -188,31 +198,39 @@ std::vector<RowOpt<typename A::value_type>> staircase_opt(
     return out;
   }
 
-  // Frame scratch: the job list and the per-level index lists are exact
-  // call-lifetime bookkeeping -- bump-allocated, read-only inside the
-  // parallel branches, rewound on return.  job_res/winners stay on
-  // std::vector (branch threads move results into / sort through them).
+  // Frame scratch: the job list, the job results, the per-row candidate
+  // lists and the per-level index lists are exact call-lifetime
+  // bookkeeping -- bump-allocated while no branch runs, rewound on return.
   exec::ScratchScope scratch;
   auto jobs = exec::scratch_vector<SegmentJob>();
   segment_jobs_into(mach, s.frontiers(), n, jobs);
+  // Job t writes its rows' results into job_res[offset[t], offset[t+1]).
   // Jobs at different levels can share rows, and under MaxParallel they
-  // run concurrently on the host engine -- so each job writes its own
-  // result slot, and the candidate lists are assembled serially below in
+  // run concurrently on the host engine -- so each job writes only its
+  // own slots, and the candidate lists are assembled serially below in
   // job order (deterministic at every thread count).
-  std::vector<std::vector<RowOpt<T>>> job_res(jobs.size());
+  auto offset = exec::scratch_vector<std::size_t>(jobs.size() + 1, 0);
+  for (std::size_t t = 0; t < jobs.size(); ++t) {
+    offset[t + 1] = offset[t] + (jobs[t].row1 - jobs[t].row0);
+  }
+  auto job_res = exec::scratch_vector<RowOpt<T>>(offset.back());
+  const std::span<RowOpt<T>> results(job_res.data(), job_res.size());
   const auto lgn = static_cast<std::size_t>(std::max(1, ceil_lg(n + 1)));
 
   auto run_job = [&](std::size_t t, pram::Machine& sub) {
     const SegmentJob& job = jobs[t];
     monge::SubArray<A> block(s.base(), job.row0, job.row1 - job.row0,
                              job.col0, job.width);
-    auto res = Minima ? monge_row_minima(sub, block)
-                      : monge_row_maxima(sub, block);
+    const auto res = results.subspan(offset[t], job.row1 - job.row0);
+    if (Minima) {
+      monge_row_minima_into(sub, block, res);
+    } else {
+      monge_row_maxima_into(sub, block, res);
+    }
     sub.meter().charge(1, job.row1 - job.row0);
     for (auto& r : res) {
       if (r.col != monge::kNoCol) r.col += job.col0;
     }
-    job_res[t] = std::move(res);
   };
 
   auto job_work = [&](std::size_t t) {
@@ -259,16 +277,23 @@ std::vector<RowOpt<typename A::value_type>> staircase_opt(
     }
   }
 
-  // winners[i] holds row i's candidates ordered by segment start so the
-  // final argopt's smallest-index tie rule yields the leftmost column.
-  // Assembly is host bookkeeping of already-charged job results.
-  std::vector<std::vector<RowOpt<T>>> winners(m);
-  for (auto& wv : winners) wv.reserve(lgn);
+  // Row i's candidates, in job order, are winners[first[i], first[i+1]):
+  // a counting sort of the job results by row.  Assembly is host
+  // bookkeeping of already-charged job results.
+  auto first = exec::scratch_vector<std::size_t>(m + 1, 0);
+  for (const SegmentJob& job : jobs) {
+    for (std::size_t i = job.row0; i < job.row1; ++i) ++first[i + 1];
+  }
+  for (std::size_t i = 0; i < m; ++i) first[i + 1] += first[i];
+  auto fill = exec::scratch_vector<std::size_t>(m);
+  std::copy(first.begin(), first.end() - 1, fill.begin());
+  auto winners = exec::scratch_vector<RowOpt<T>>(job_res.size());
   for (std::size_t t = 0; t < jobs.size(); ++t) {
     for (std::size_t i = jobs[t].row0; i < jobs[t].row1; ++i) {
-      winners[i].push_back(job_res[t][i - jobs[t].row0]);
+      winners[fill[i]++] = results[offset[t] + (i - jobs[t].row0)];
     }
   }
+  const std::span<RowOpt<T>> all_cand(winners.data(), winners.size());
 
   // Segment winners arrive ordered by level (width), not by column; sort
   // each row's handful of candidates by column so ties resolve leftmost.
@@ -278,7 +303,7 @@ std::vector<RowOpt<typename A::value_type>> staircase_opt(
                       static_cast<std::uint64_t>(m) * lgn);
   mach.parallel_branches(m, scan_work(m, lgn), [&](std::size_t i,
                                                    pram::Machine& sub) {
-    auto& cand = winners[i];
+    const auto cand = all_cand.subspan(first[i], first[i + 1] - first[i]);
     if (cand.empty()) return;  // f_i == 0: row stays {inf, kNoCol}
     std::sort(cand.begin(), cand.end(),
               [](const RowOpt<T>& a, const RowOpt<T>& b) {

@@ -82,10 +82,18 @@ TubePlane<typename D::value_type> tube_per_slice(pram::Machine& mach,
         p, q, [&, k](std::size_t i, std::size_t j) {
           return d(i, j) + e(j, k);
         });
-    auto res = Minima ? monge_row_minima(sub, fk) : monge_row_maxima(sub, fk);
+    // Slice results on the scratch of the thread running this branch.
+    exec::ScratchScope branch_scratch;
+    auto res = exec::scratch_vector<RowOpt<T>>(p);
+    const std::span<RowOpt<T>> rs(res.data(), res.size());
+    if (Minima) {
+      monge_row_minima_into(sub, fk, rs);
+    } else {
+      monge_row_maxima_into(sub, fk, rs);
+    }
     sub.meter().charge(1, p);
-    for (std::size_t i = 0; i < p; ++i) out.at(i, k) = {res[i].value,
-                                                        res[i].col};
+    for (std::size_t i = 0; i < p; ++i) out.at(i, k) = {rs[i].value,
+                                                        rs[i].col};
   });
   return out;
 }

@@ -20,17 +20,6 @@ const char* model_name(Model m) {
 
 bool is_crcw(Model m) { return m != Model::CREW; }
 
-void CostMeter::charge(std::uint64_t steps, std::uint64_t procs) {
-  charge(steps, procs, steps * procs);
-}
-
-void CostMeter::charge(std::uint64_t steps, std::uint64_t procs,
-                       std::uint64_t ops) {
-  time += steps;
-  work += ops;
-  peak_processors = std::max(peak_processors, procs);
-}
-
 double CostMeter::brent_time(std::uint64_t p) const {
   PMONGE_REQUIRE(p >= 1, "Brent scheduling needs at least one processor");
   return static_cast<double>(work) / static_cast<double>(p) +

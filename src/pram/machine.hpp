@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "exec/parallel.hpp"
+#include "exec/scratch.hpp"
 #include "support/check.hpp"
 
 namespace pmonge::pram {
@@ -55,9 +56,15 @@ struct CostMeter {
   /// Charge `steps` synchronous steps with `procs` active processors.
   /// `ops` defaults to steps*procs; pass it explicitly when activity decays
   /// geometrically (e.g. a reduction tree does n + n/2 + ... ~ 2n ops over
-  /// lg n steps, not n lg n).
-  void charge(std::uint64_t steps, std::uint64_t procs);
-  void charge(std::uint64_t steps, std::uint64_t procs, std::uint64_t ops);
+  /// lg n steps, not n lg n).  Inline: every primitive charges.
+  void charge(std::uint64_t steps, std::uint64_t procs) {
+    charge(steps, procs, steps * procs);
+  }
+  void charge(std::uint64_t steps, std::uint64_t procs, std::uint64_t ops) {
+    time += steps;
+    work += ops;
+    peak_processors = std::max(peak_processors, procs);
+  }
 
   /// Brent's theorem: running this computation on p physical processors
   /// takes at most work/p + time steps.  This is how the simulator reports
@@ -132,7 +139,10 @@ class Machine {
         cost.add(sub.meter_);
       }
     } else {
-      std::vector<Machine> subs(k, Machine(model_));
+      // Sub-machines on this frame's scratch: each branch writes only its
+      // own slot, and this frame outlives the join.
+      exec::ScratchScope scratch;
+      auto subs = exec::scratch_vector<Machine>(k, Machine(model_));
       exec::parallel_for(k, grain,
                          [&](std::size_t b) { run_branch(b, subs[b]); });
       for (const Machine& sub : subs) cost.add(sub.meter_);

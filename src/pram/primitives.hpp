@@ -9,8 +9,9 @@
 //   reduce / argopt CREW  ceil(lg n) steps, ~2n work (balanced tree)
 //   argopt CRCW           O(lglg n) steps, O(n) work per round
 //                         (the doubly-logarithmic accelerated-cascading
-//                         max-finding of Valiant / Shiloach-Vishkin,
-//                         charged round by round, executed as one pass)
+//                         max-finding of Valiant / Shiloach-Vishkin; the
+//                         round schedule is folded into one charge and
+//                         executed as one pass)
 //   argopt COMBINING      1 step (min/max-combining concurrent write)
 //   prefix_scan           2 ceil(lg n) steps, ~4n work (Blelchoch up/down)
 //   scatter_write         1 step, with *real* write-conflict detection
@@ -101,21 +102,32 @@ T reduce(Machine& m, std::size_t n, Eval&& eval, Op&& op, T identity) {
 
 namespace detail {
 
-/// Engine-parallel leftmost argopt: chunk winners combined in index
-/// order, so ties resolve to the smallest index exactly as the serial
-/// sweep would.  `better(a, b)` is the strict preference of argopt.
-template <class T, class Eval, class Better>
-OptResult<T> engine_argopt(std::size_t n, const Eval& eval,
-                           const Better& better) {
+/// Leftmost argopt of eval(0..n-1), n >= 1.  One chunk (n <= grain) is a
+/// strict-improvement sweep; more fold chunk winners in index order under
+/// the strict total order on (value, index).  Both find the same unique
+/// least element, so ties resolve to the smallest index either way.
+template <class T, class Eval, class Less>
+OptResult<T> engine_argopt(std::size_t n, const Eval& eval, const Less& less) {
+  const std::size_t grain = exec::grain_for(2);
+  if (n <= grain) {
+    OptResult<T> best{eval(0), 0};
+    for (std::size_t i = 1; i < n; ++i) {
+      T v = eval(i);
+      if (less(v, best.value)) best = {std::move(v), i};
+    }
+    return best;
+  }
   return exec::parallel_reduce(
-      n, exec::grain_for(2), OptResult<T>{},
+      n, grain, OptResult<T>{},
       [&](std::size_t i) {
         return OptResult<T>{eval(i), i};
       },
       [&](const OptResult<T>& a, const OptResult<T>& b) {
         if (b.index == kNoIndex) return a;
         if (a.index == kNoIndex) return b;
-        return better(b, a) ? b : a;
+        if (less(b.value, a.value)) return b;
+        if (less(a.value, b.value)) return a;
+        return b.index < a.index ? b : a;
       });
 }
 
@@ -125,14 +137,19 @@ OptResult<T> engine_argopt(std::size_t n, const Eval& eval,
 /// rounds while every round uses at most ~2n processors (g^2 per group,
 /// s/g groups => s*g <= 2n).  Each round is one step of all-pairs
 /// loser-marking (COMMON writes of `true` agree) plus one step in which
-/// the unique unmarked processor in each group writes the winner.
+/// the unique unmarked processor in each group writes the winner.  The
+/// rounds fold into one charge: steps and ops add, processors take the
+/// max -- exactly what charging them one by one leaves on a meter.
 inline void charge_crcw_argopt(Machine& m, std::size_t n) {
-  m.meter().charge(1, n);  // load candidates
+  std::uint64_t steps = 1, procs = n, ops = n;  // load candidates
   for (std::size_t s = n; s > 1;) {
     const std::size_t g = std::min(std::max<std::size_t>(2, n / s), s);
-    m.meter().charge(2, s * g, s * g + s);
+    steps += 2;
+    procs = std::max<std::uint64_t>(procs, s * g);
+    ops += s * g + s;
     s = (s + g - 1) / g;
   }
+  m.meter().charge(steps, procs, ops);
 }
 
 }  // namespace detail
@@ -142,32 +159,25 @@ inline void charge_crcw_argopt(Machine& m, std::size_t n) {
 ///   CREW            ceil(lg n)            (balanced tree)
 ///   CRCW common/arb/pri   O(lglg n)       (doubly-log cascading)
 ///   CRCW combining  1                     (min-combining write)
-/// Every model executes the same chunked pass (engine_argopt): `better`
-/// is a strict total order on (value, index), so the tree, the
-/// tournament rounds and the pass all find its one least element.
+/// Every model executes the same pass (engine_argopt): ordering by
+/// (value, index) is a strict total order, so the tree, the tournament
+/// rounds and the pass all find its one least element.
 template <class T, class Eval, class Less>
 OptResult<T> argopt(Machine& m, std::size_t n, Eval&& eval, Less&& less) {
   if (n == 0) return {};
-  auto better = [&](const OptResult<T>& a, const OptResult<T>& b) {
-    if (less(a.value, b.value)) return true;
-    if (less(b.value, a.value)) return false;
-    return a.index < b.index;
-  };
   switch (m.model()) {
-    case Model::CREW: {
+    case Model::CREW:
       m.meter().charge(static_cast<std::uint64_t>(ceil_lg(n)),
                        (n + 1) / 2, 2 * n);
-      return detail::engine_argopt<T>(n, eval, better);
-    }
-    case Model::CRCW_COMBINING: {
+      break;
+    case Model::CRCW_COMBINING:
       m.meter().charge(1, n);
-      return detail::engine_argopt<T>(n, eval, better);
-    }
-    default: {  // COMMON / ARBITRARY / PRIORITY: doubly-logarithmic
+      break;
+    default:  // COMMON / ARBITRARY / PRIORITY: doubly-logarithmic
       detail::charge_crcw_argopt(m, n);
-      return detail::engine_argopt<T>(n, eval, better);
-    }
+      break;
   }
+  return detail::engine_argopt<T>(n, eval, less);
 }
 
 /// Parallel minimum (value + leftmost index) of a materialized span.

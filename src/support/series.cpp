@@ -7,17 +7,6 @@
 
 namespace pmonge {
 
-int ceil_lg(std::uint64_t x) {
-  PMONGE_REQUIRE(x >= 1, "ceil_lg of 0");
-  int lg = 0;
-  std::uint64_t p = 1;
-  while (p < x) {
-    p <<= 1;
-    ++lg;
-  }
-  return lg;
-}
-
 int floor_lg(std::uint64_t x) {
   PMONGE_REQUIRE(x >= 1, "floor_lg of 0");
   int lg = 0;
@@ -41,14 +30,6 @@ std::uint64_t next_pow2(std::uint64_t x) {
 }
 
 bool is_pow2(std::uint64_t x) { return x >= 1 && (x & (x - 1)) == 0; }
-
-std::uint64_t isqrt(std::uint64_t x) {
-  if (x == 0) return 0;
-  auto r = static_cast<std::uint64_t>(std::sqrt(static_cast<double>(x)));
-  while (r > 0 && r * r > x) --r;
-  while ((r + 1) * (r + 1) <= x) ++r;
-  return r;
-}
 
 namespace {
 double lg(double x) { return std::log2(std::max(2.0, x)); }

@@ -8,17 +8,25 @@
 // whose relative residual tells us whether the shape holds.
 #pragma once
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "support/check.hpp"
+
 namespace pmonge {
 
 /// ceil(lg x) for x >= 1 (lg 1 == 0); the discrete logarithm used by all
-/// charged-step bounds in the paper.
-int ceil_lg(std::uint64_t x);
+/// charged-step bounds in the paper.  Inline: every charged primitive
+/// calls it.
+inline int ceil_lg(std::uint64_t x) {
+  PMONGE_REQUIRE(x >= 1, "ceil_lg of 0");
+  return static_cast<int>(std::bit_width(x - 1));
+}
 
 /// floor(lg x) for x >= 1.
 int floor_lg(std::uint64_t x);
@@ -32,8 +40,14 @@ std::uint64_t next_pow2(std::uint64_t x);
 /// True if x is a power of two (x >= 1).
 bool is_pow2(std::uint64_t x);
 
-/// Integer floor(sqrt(x)).
-std::uint64_t isqrt(std::uint64_t x);
+/// Integer floor(sqrt(x)).  Inline: every square row-minima frame calls it.
+inline std::uint64_t isqrt(std::uint64_t x) {
+  if (x == 0) return 0;
+  auto r = static_cast<std::uint64_t>(std::sqrt(static_cast<double>(x)));
+  while (r > 0 && r * r > x) --r;
+  while ((r + 1) * (r + 1) <= x) ++r;
+  return r;
+}
 
 /// A named asymptotic shape, e.g. "lg n" -> double(n).
 struct Shape {

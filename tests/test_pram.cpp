@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "pram/ansv.hpp"
@@ -192,22 +193,35 @@ TEST(Argopt, CrcwOnePassMatchesRoundByRoundReference) {
   for (const Model model : {Model::CRCW_COMMON, Model::CRCW_ARBITRARY,
                             Model::CRCW_PRIORITY, Model::CRCW_COMBINING}) {
     for (std::size_t n = 1; n <= xs.size(); ++n) {
-      Machine got_m(model), want_m(model);
-      const bool maxima = n % 2 == 0;
-      const auto got = maxima ? argopt<std::int64_t>(got_m, n, eval, greater)
-                              : argopt<std::int64_t>(got_m, n, eval, less);
-      const auto want =
-          maxima ? round_by_round_argopt<std::int64_t>(want_m, n, eval, greater)
-                 : round_by_round_argopt<std::int64_t>(want_m, n, eval, less);
-      ASSERT_EQ(got.value, want.value) << model_name(model) << " n=" << n;
-      ASSERT_EQ(got.index, want.index) << model_name(model) << " n=" << n;
-      ASSERT_EQ(got_m.meter().time, want_m.meter().time)
-          << model_name(model) << " n=" << n;
-      ASSERT_EQ(got_m.meter().work, want_m.meter().work)
-          << model_name(model) << " n=" << n;
-      ASSERT_EQ(got_m.meter().peak_processors,
-                want_m.meter().peak_processors)
-          << model_name(model) << " n=" << n;
+      // Every size runs on a fresh meter and again on one that already
+      // holds a charge, so the one-step charge must also fold into a
+      // nonzero peak: 3000 processors outlast the schedule's peak for
+      // small n and not for large n.
+      for (const bool precharged : {false, true}) {
+        Machine got_m(model), want_m(model);
+        if (precharged) {
+          got_m.meter().charge(5, 3000, 7000);
+          want_m.meter().charge(5, 3000, 7000);
+        }
+        const bool maxima = n % 2 == 0;
+        const auto got = maxima
+                             ? argopt<std::int64_t>(got_m, n, eval, greater)
+                             : argopt<std::int64_t>(got_m, n, eval, less);
+        const auto want =
+            maxima
+                ? round_by_round_argopt<std::int64_t>(want_m, n, eval, greater)
+                : round_by_round_argopt<std::int64_t>(want_m, n, eval, less);
+        const std::string where = std::string(model_name(model)) +
+                                  " n=" + std::to_string(n) +
+                                  (precharged ? " precharged" : " fresh");
+        ASSERT_EQ(got.value, want.value) << where;
+        ASSERT_EQ(got.index, want.index) << where;
+        ASSERT_EQ(got_m.meter().time, want_m.meter().time) << where;
+        ASSERT_EQ(got_m.meter().work, want_m.meter().work) << where;
+        ASSERT_EQ(got_m.meter().peak_processors,
+                  want_m.meter().peak_processors)
+            << where;
+      }
     }
   }
 }
