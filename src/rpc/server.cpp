@@ -382,16 +382,18 @@ struct Server::Impl {
         local_response(conn, serve::make_error_response(id, "overloaded"));
         continue;
       }
-      if (conn->pending.empty() &&
-          service.try_serve_fast(line, conn->outbound)) {
-        // Cached-hit fast path: the response bytes went straight into the
-        // outbound buffer -- no Slot, no Completion, no wakeup round
-        // trip.  Only legal with nothing pending, which is what keeps
-        // per-connection FIFO ordering intact.  (With requests pending,
-        // submit_cb below still takes its own fast path; the answer just
-        // rides the Slot so it drains in order.)
-        conn->outbound += '\n';
-        stats.responses_out.fetch_add(1, std::memory_order_relaxed);
+      // Cached-hit fast path, the line's one cache probe: no Completion,
+      // no wakeup round trip.  With nothing pending the bytes go straight
+      // into the outbound buffer; behind pending work they ride a ready
+      // slot, which keeps per-connection FIFO order.
+      if (conn->pending.empty()) {
+        if (service.try_serve_fast(line, conn->outbound)) {
+          conn->outbound += '\n';
+          stats.responses_out.fetch_add(1, std::memory_order_relaxed);
+          continue;
+        }
+      } else if (std::string resp; service.try_serve_fast(line, resp)) {
+        local_response(conn, std::move(resp));
         continue;
       }
       auto slot = std::make_shared<Slot>();
@@ -402,9 +404,10 @@ struct Server::Impl {
     pump(conn);
   }
 
-  /// Answer a framed line without touching the service (oversized /
-  /// overload rejections).  Goes through the pending FIFO so ordering
-  /// relative to in-flight requests is preserved.
+  /// Answer a framed line without a service round trip (oversized /
+  /// overload rejections, cached hits behind pending work).  Goes through
+  /// the pending FIFO so ordering relative to in-flight requests is
+  /// preserved.
   void local_response(const std::shared_ptr<Conn>& conn, std::string resp) {
     auto slot = std::make_shared<Slot>();
     slot->resp = std::move(resp);

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "apps/empty_rect.hpp"
@@ -32,14 +33,6 @@ namespace {
 using monge::kNoCol;
 using monge::RowOpt;
 
-void count_plan(ServiceMetrics& metrics, plan::Algo algo) {
-  switch (algo) {
-    case plan::Algo::Brute: metrics.plans_brute().add(); break;
-    case plan::Algo::Sequential: metrics.plans_sequential().add(); break;
-    case plan::Algo::Parallel: metrics.plans_parallel().add(); break;
-  }
-}
-
 /// Close out a parallel-path kernel: fold the machine's charged PRAM
 /// costs into the service totals and onto the kernel span, so exported
 /// traces show predicted cost next to measured wall time.
@@ -55,9 +48,10 @@ void set_error(BatchOutcome& out, std::string why) {
   out.error = std::move(why);
 }
 
-void set_ok(BatchOutcome& out, Json result) {
+void set_ok(BatchOutcome& out, const Json& result) {
   out.ok = true;
-  out.result = std::move(result);
+  out.result.clear();
+  result.dump_to(out.result);
 }
 
 /// Mark every member that has no outcome yet with a group-level error.
@@ -73,10 +67,11 @@ std::int64_t int_field_or(const Json& body, const std::string& key,
   return p == nullptr ? def : p->as_int();
 }
 
-/// Group-key helper: any malformed field maps to -1 here; the handler
-/// re-validates and produces the per-member error.
-std::int64_t group_int(const Json& body, const std::string& key) {
-  const Json* p = body.find(key);
+/// The array id an operand field names, for group keys and lookups: an
+/// unused operand slot (null key) or a missing or malformed field maps
+/// to -1 here; the handler re-validates and produces the member error.
+std::int64_t operand_id(const Json& body, const char* key) {
+  const Json* p = key == nullptr ? nullptr : body.find(key);
   if (p == nullptr || p->type() != Json::Type::Int) return -1;
   return p->as_int();
 }
@@ -564,42 +559,17 @@ std::vector<std::uint64_t> result_tags(const Request& req) {
 }  // namespace
 
 plan::QueryShape query_shape(const Request& req, Registry& reg) {
-  plan::QueryShape s;
+  const OpSpec& spec = op_spec(req.op);
+  plan::QueryShape s{spec.op_class, 0, 0, 1};
   const Json& b = req.body;
-  const auto entry_of =
-      [&](const char* key) -> std::shared_ptr<const ArrayEntry> {
-    const Json* p = b.find(key);
-    if (p == nullptr || p->type() != Json::Type::Int || p->as_int() < 0) {
-      return nullptr;
-    }
-    return reg.get(static_cast<std::uint64_t>(p->as_int()));
-  };
-  const auto points_of = [&](const char* key) -> std::size_t {
-    const Json* p = b.find(key);
-    return p != nullptr && p->type() == Json::Type::Array ? p->arr().size()
-                                                          : 0;
-  };
-  if (req.op == "rowmin" || req.op == "rowmax" ||
-      req.op == "staircase_rowmin" || req.op == "staircase_rowmax") {
-    s.op = plan::OpClass::RowSearch;
-    if (const auto e = entry_of("array")) {
+  if (spec.operands[0] != nullptr) {
+    const std::int64_t id = operand_id(b, spec.operands[0]);
+    if (const auto e =
+            id < 0 ? nullptr : reg.get(static_cast<std::uint64_t>(id))) {
       s.rows = e->data.rows();
       s.cols = e->data.cols();
     }
-  } else if (req.op == "submatrix_min" || req.op == "submatrix_max") {
-    s.op = plan::OpClass::SubmatrixSearch;
-    if (const auto e = entry_of("array")) {
-      s.rows = e->data.rows();
-      s.cols = e->data.cols();
-    }
-  } else if (req.op == "tubemax" || req.op == "tubemin") {
-    s.op = plan::OpClass::TubeSearch;
-    if (const auto d = entry_of("d")) {
-      s.rows = d->data.rows();
-      s.cols = d->data.cols();
-    }
-  } else if (req.op == "string_edit") {
-    s.op = plan::OpClass::EditDistance;
+  } else if (spec.op_class == plan::OpClass::EditDistance) {
     const Json* x = b.find("x");
     const Json* y = b.find("y");
     if (x != nullptr && x->type() == Json::Type::String) {
@@ -609,10 +579,13 @@ plan::QueryShape query_shape(const Request& req, Registry& reg) {
       s.cols = y->as_string().size();
     }
   } else {
-    s.op = plan::OpClass::GeometricApp;
-    s.rows = points_of("points") + points_of("p") + points_of("q");
+    for (const char* key : {"points", "p", "q"}) {
+      const Json* p = b.find(key);
+      if (p != nullptr && p->type() == Json::Type::Array) {
+        s.rows += p->arr().size();
+      }
+    }
   }
-  s.batch = 1;
   return s;
 }
 
@@ -731,14 +704,25 @@ void Batcher::dispatch_group(std::vector<Member>& ms) {
   }
 }
 
+std::shared_ptr<index::Index> Batcher::index_for(
+    const Request& req, const plan::QueryShape& shape) const {
+  // Route through the index only when one exists for the operand and the
+  // planner predicts the O(lg m) lookups beat the best direct plan
+  // (docs/indexing.md).
+  const std::int64_t id = operand_id(req.body, op_spec(req.op).operands[0]);
+  auto idx = id < 0 ? nullptr : indexes_.get(static_cast<std::uint64_t>(id));
+  return idx != nullptr && planner_.prefer_index(shape) ? idx : nullptr;
+}
+
 void Batcher::dispatch_group_once(std::vector<Member>& ms, bool degraded) {
-  const std::string& op = ms.front().req->op;
+  const Request& front = *ms.front().req;
+  const OpSpec& spec = op_spec(front.op);
   // Group-level spans (and the plan/kernel spans they enclose) carry a
   // representative trace id: the first member's.  Per-request intervals
   // are separately visible as serve.request spans.
-  obs::TraceContext tctx(ms.front().req->trace_id);
+  obs::TraceContext tctx(front.trace_id);
   obs::Span span("serve.group");
-  span.set_detail(op);
+  span.set_detail(spec.name);
   span.set_arg("members", ms.size());
   // Degraded execution stays off the pool entirely (see thread_pool.cpp:
   // serial scopes never enter the pooled chunk loop, where the exec
@@ -747,105 +731,67 @@ void Batcher::dispatch_group_once(std::vector<Member>& ms, bool degraded) {
   std::optional<exec::SerialScope> serial;
   if (degraded) serial.emplace();
   try {
-    if (op == "rowmin" || op == "rowmax") {
-      auto entry = resolve(registry_, ms.front().req->body, "array",
-                           *ms.front().out);
-      if (entry == nullptr) {
+    // The group key fixed the registered operands; resolve them once.
+    std::array<std::shared_ptr<const ArrayEntry>, 2> arrays;
+    for (std::size_t k = 0; k < 2 && spec.operands[k] != nullptr; ++k) {
+      arrays[k] = resolve(registry_, front.body, spec.operands[k],
+                          *ms.front().out);
+      if (arrays[k] == nullptr) {
         fail_unanswered(ms, ms.front().out->error);
         return;
       }
-      const plan::QueryShape shape{plan::OpClass::RowSearch,
-                                   entry->data.rows(), entry->data.cols(),
-                                   ms.size()};
-      const plan::Plan pl = plan_for(shape, degraded);
-      count_plan(metrics_, pl.algo);
-      run_row_group(ms, entry, op == "rowmax", model_, metrics_, pl);
-    } else if (op == "staircase_rowmin" || op == "staircase_rowmax") {
-      auto entry = resolve(registry_, ms.front().req->body, "array",
-                           *ms.front().out);
-      if (entry == nullptr) {
-        fail_unanswered(ms, ms.front().out->error);
-        return;
-      }
-      const plan::QueryShape shape{plan::OpClass::RowSearch,
-                                   entry->data.rows(), entry->data.cols(),
-                                   ms.size()};
-      const plan::Plan pl = plan_for(shape, degraded);
-      count_plan(metrics_, pl.algo);
-      run_staircase_group(ms, entry, op == "staircase_rowmax", model_,
-                          metrics_, pl);
-    } else if (op == "submatrix_min" || op == "submatrix_max") {
-      auto entry = resolve(registry_, ms.front().req->body, "array",
-                           *ms.front().out);
-      if (entry == nullptr) {
-        fail_unanswered(ms, ms.front().out->error);
-        return;
-      }
-      const plan::QueryShape shape{plan::OpClass::SubmatrixSearch,
-                                   entry->data.rows(), entry->data.cols(),
-                                   ms.size()};
-      const plan::Plan pl = plan_for(shape, degraded);
-      count_plan(metrics_, pl.algo);
-      // Route through the index only when one exists and the planner
-      // predicts the O(lg m) lookups beat the best direct plan.  The
-      // degraded path (breaker open) stays on the direct sequential
-      // solver -- same bytes either way, so the route is free to vary.
-      std::shared_ptr<index::Index> idx;
-      if (!degraded) {
-        idx = indexes_.get(
-            static_cast<std::uint64_t>(group_int(ms.front().req->body,
-                                                 "array")));
-        if (idx != nullptr && !planner_.prefer_index(shape)) idx = nullptr;
-      }
-      run_submatrix_group(ms, entry, idx, op == "submatrix_max", pl);
-    } else if (op == "tubemax" || op == "tubemin") {
-      auto d = resolve(registry_, ms.front().req->body, "d",
-                       *ms.front().out);
-      auto e = d == nullptr ? nullptr
-                            : resolve(registry_, ms.front().req->body,
-                                      "e", *ms.front().out);
-      if (d == nullptr || e == nullptr) {
-        fail_unanswered(ms, ms.front().out->error);
-        return;
-      }
-      const plan::QueryShape shape{plan::OpClass::TubeSearch,
-                                   d->data.rows(), d->data.cols(),
-                                   ms.size()};
-      const plan::Plan pl = plan_for(shape, degraded);
-      count_plan(metrics_, pl.algo);
-      run_tube_group(ms, d, e, op == "tubemax", model_, metrics_, pl);
-    } else if (op == "string_edit") {
-      plan::QueryShape shape;
-      shape.op = plan::OpClass::EditDistance;
-      shape.batch = ms.size();
+    }
+    // The group's shape: its operand's, or the largest member's inline
+    // operands.
+    plan::QueryShape shape{spec.op_class, 0, 0, ms.size()};
+    if (arrays[0] != nullptr) {
+      shape.rows = arrays[0]->data.rows();
+      shape.cols = arrays[0]->data.cols();
+    } else {
       for (const Member& m : ms) {
         const plan::QueryShape one = query_shape(*m.req, registry_);
         shape.rows = std::max(shape.rows, one.rows);
         shape.cols = std::max(shape.cols, one.cols);
       }
-      const plan::Plan pl = plan_for(shape, degraded);
-      count_plan(metrics_, pl.algo);
-      run_edit_group(ms, model_, metrics_, pl);
-    } else if (op == "largest_rect" || op == "empty_rect" ||
-               op == "polygon_neighbors") {
-      plan::QueryShape shape;
-      shape.op = plan::OpClass::GeometricApp;
-      shape.batch = ms.size();
-      for (const Member& m : ms) {
-        shape.rows =
-            std::max(shape.rows, query_shape(*m.req, registry_).rows);
-      }
-      const plan::Plan pl = plan_for(shape, degraded);
-      count_plan(metrics_, pl.algo);
-      if (op == "largest_rect") {
+    }
+    const plan::Plan pl = plan_for(shape, degraded);
+    metrics_.plans(pl.algo).add();
+    switch (front.op) {
+      case Op::RowMin:
+      case Op::RowMax:
+        run_row_group(ms, arrays[0], spec.maxima, model_, metrics_, pl);
+        break;
+      case Op::StaircaseRowMin:
+      case Op::StaircaseRowMax:
+        run_staircase_group(ms, arrays[0], spec.maxima, model_, metrics_, pl);
+        break;
+      case Op::SubmatrixMin:
+      case Op::SubmatrixMax:
+        // The degraded path (breaker open) stays on the direct sequential
+        // solver -- same bytes either way, so the route is free to vary.
+        run_submatrix_group(ms, arrays[0],
+                            degraded ? nullptr : index_for(front, shape),
+                            spec.maxima, pl);
+        break;
+      case Op::TubeMax:
+      case Op::TubeMin:
+        run_tube_group(ms, arrays[0], arrays[1], spec.maxima, model_,
+                       metrics_, pl);
+        break;
+      case Op::StringEdit:
+        run_edit_group(ms, model_, metrics_, pl);
+        break;
+      case Op::LargestRect:
         run_largest_rect_group(ms, model_, metrics_);
-      } else if (op == "empty_rect") {
+        break;
+      case Op::EmptyRect:
         run_empty_rect_group(ms, model_, metrics_);
-      } else {
+        break;
+      case Op::PolygonNeighbors:
         run_polygon_group(ms, model_, metrics_);
-      }
-    } else {
-      fail_unanswered(ms, "unknown_op: " + op);
+        break;
+      default:  // run() answers explain; control ops never reach it
+        fail_unanswered(ms, "internal: not a batched query op");
     }
   } catch (const fault::InjectedFault&) {
     throw;  // transient by contract: dispatch_group's retry loop owns it
@@ -867,7 +813,7 @@ void Batcher::run_explain(const Request& req, BatchOutcome& out) {
     set_error(out, e.what());
     return;
   }
-  if (!is_query_op(inner.op) || inner.op == "explain") {
+  if (!op_spec(inner.op).query || inner.op == Op::Explain) {
     set_error(out,
               "bad_request: explain \"query\" must be a query op other than "
               "explain");
@@ -906,21 +852,15 @@ void Batcher::run_explain(const Request& req, BatchOutcome& out) {
   plan_o["predicted_us"] = pl.predicted_us;
   plan_o["profile"] = planner_.profile().id;
   plan_o["planner_enabled"] = planner_.enabled();
-  if (inner.op == "submatrix_min" || inner.op == "submatrix_max") {
-    // Whether the non-degraded dispatch would route through the query
-    // index: one must exist for the operand AND the planner must predict
-    // the lookup beats the best direct plan (docs/indexing.md).
-    const std::int64_t id = group_int(inner.body, "array");
-    const bool have_index =
-        id >= 0 &&
-        indexes_.get(static_cast<std::uint64_t>(id)) != nullptr;
-    plan_o["use_index"] = have_index && planner_.prefer_index(shape);
+  if (shape.op == plan::OpClass::SubmatrixSearch) {
+    // Whether the non-degraded dispatch would route through the index.
+    plan_o["use_index"] = index_for(inner, shape) != nullptr;
   }
   plan_o["shape"] = Json(std::move(shape_o));
   Json::Obj outcome_o;
   outcome_o["ok"] = sub.ok;
   if (sub.ok) {
-    outcome_o["result"] = sub.result;
+    outcome_o["result"] = Json::parse(sub.result);
   } else {
     outcome_o["error"] = sub.error;
   }
@@ -951,15 +891,14 @@ std::vector<BatchOutcome> Batcher::run(
   // bypass the cache entirely (their payload embeds a measured time).
   std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    if (reqs[i].op == "explain") {
+    if (reqs[i].op == Op::Explain) {
       run_explain(reqs[i], out[i]);
       continue;
     }
     if (cache_.enabled()) {
       if (auto hit = cache_.get(reqs[i].signature)) {
         out[i].ok = true;
-        out[i].cache_hit = true;
-        out[i].result = Json::parse(*hit);
+        out[i].result = std::move(*hit);
         metrics_.endpoint(reqs[i].op).cache_hits.add();
         continue;
       }
@@ -968,22 +907,18 @@ std::vector<BatchOutcome> Batcher::run(
     misses.push_back(i);
   }
 
-  // Group the misses.  The key fixes everything a handler dispatches on;
+  // Group the misses.  The key -- op, operand ids, and with coalescing off
+  // the request's own index -- fixes everything a handler dispatches on;
   // with coalescing off every request is its own group (same code path,
   // so responses cannot depend on the toggle).
-  std::map<std::string, std::vector<Member>> groups;
+  using GroupKey = std::tuple<Op, std::int64_t, std::int64_t, std::size_t>;
+  std::map<GroupKey, std::vector<Member>> groups;
   for (const std::size_t i : misses) {
     const Request& r = reqs[i];
-    std::string key = r.op;
-    if (r.op == "rowmin" || r.op == "rowmax" || r.op == "staircase_rowmin" ||
-        r.op == "staircase_rowmax" || r.op == "submatrix_min" ||
-        r.op == "submatrix_max") {
-      key += ":" + std::to_string(group_int(r.body, "array"));
-    } else if (r.op == "tubemax" || r.op == "tubemin") {
-      key += ":" + std::to_string(group_int(r.body, "d")) + ":" +
-             std::to_string(group_int(r.body, "e"));
-    }
-    if (!coalesce_) key += "#" + std::to_string(i);
+    const OpSpec& spec = op_spec(r.op);
+    const GroupKey key{r.op, operand_id(r.body, spec.operands[0]),
+                       operand_id(r.body, spec.operands[1]),
+                       coalesce_ ? 0 : i};
     groups[key].push_back(
         Member{&reqs[i], &out[i],
                deadlines.empty() ? kNoDeadline : deadlines[i]});
@@ -1036,7 +971,7 @@ std::vector<BatchOutcome> Batcher::run(
   if (cache_.enabled()) {
     for (const std::size_t i : misses) {
       if (out[i].ok) {
-        cache_.put_tagged(reqs[i].signature, out[i].result.dump(),
+        cache_.put_tagged(reqs[i].signature, out[i].result,
                           result_tags(reqs[i]));
       }
     }

@@ -49,6 +49,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -57,6 +58,7 @@
 #include "pram/machine.hpp"
 
 namespace pmonge::index {
+class Index;
 class IndexManager;
 }
 #include "serve/admission.hpp"
@@ -69,9 +71,10 @@ namespace pmonge::serve {
 
 struct BatchOutcome {
   bool ok = false;
-  Json result;        // valid when ok
+  // Canonical result bytes, valid when ok: a handler's result is dumped
+  // once, and these bytes go both to the cache and into the response.
+  std::string result;
   std::string error;  // valid when !ok
-  bool cache_hit = false;
 };
 
 /// Retry / timeout / circuit-breaker knobs (ServiceOptions embeds one).
@@ -101,11 +104,11 @@ struct BatchMember {
 };
 }  // namespace detail
 
-/// What `req` would touch, in cost-model units (batch = 1): operand
-/// dimensions resolved through the registry where the op references a
-/// registered array.  Unknown arrays / malformed fields yield a zero
+/// What `req` would touch, in cost-model units (batch = 1): the first
+/// registered operand's dimensions (OpSpec::operands), else the sizes of
+/// the inline operands.  Unknown arrays / malformed fields yield a zero
 /// shape (predicts ~nothing; the query itself then fails normally).
-/// Shared by admission control and the explain op.
+/// Shared by admission control, group planning and the explain op.
 plan::QueryShape query_shape(const Request& req, Registry& reg);
 
 class Batcher {
@@ -137,6 +140,8 @@ class Batcher {
   void dispatch_group_once(std::vector<detail::BatchMember>& ms,
                            bool degraded);
   plan::Plan plan_for(const plan::QueryShape& shape, bool degraded) const;
+  std::shared_ptr<index::Index> index_for(const Request& req,
+                                          const plan::QueryShape& shape) const;
   void run_explain(const Request& req, BatchOutcome& out);
   bool breaker_open() const;
   void note_failure();

@@ -359,6 +359,7 @@ bool RequestCodec::canonicalize_query(std::string_view line, FastQuery& out) {
   canon_.clear();
   members_.clear();
   bool have_op = false;
+  Op op = Op::Other;
   bool have_id = false;
   id_value_ = kNoId;
 
@@ -405,7 +406,7 @@ bool RequestCodec::canonicalize_query(std::string_view line, FastQuery& out) {
       if (!canon_value()) return false;
       if (key == "op") {
         if (last_kind_ != Kind::Str || last_str_escaped_) return false;
-        opbuf_.assign(last_str_raw_);
+        op = parse_op(last_str_raw_);
         have_op = true;
       }
       Member m;
@@ -438,7 +439,7 @@ bool RequestCodec::canonicalize_query(std::string_view line, FastQuery& out) {
   members_.clear();
 
   out.signature = canon_;
-  out.op = opbuf_;
+  out.op = op;
   out.id = have_id ? id_value_ : kNoId;
   out.hash = cache_checksum(out.signature);
   return true;

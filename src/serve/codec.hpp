@@ -33,12 +33,12 @@
 
 namespace pmonge::serve {
 
-/// A successfully canonicalized query request.  The views point into the
-/// codec's reusable buffers: valid until the next canonicalize_query()
+/// A successfully canonicalized query request.  The signature points into
+/// the codec's reusable buffers: valid until the next canonicalize_query()
 /// call on the same codec.
 struct FastQuery {
   std::string_view signature;  // canonical body minus transport fields
-  std::string_view op;         // unescaped op name
+  Op op = Op::Other;           // parsed from the unescaped op name
   std::int64_t id = kNoId;     // echoed id (kNoId when absent)
   std::uint64_t hash = 0;      // FNV-1a of signature (the cache key hash)
 };
@@ -91,7 +91,6 @@ class RequestCodec {
   std::string canon_;             // the canonical signature being emitted
   std::string strbuf_;            // number tokens / unescaped strings
   std::string reorder_;           // object-member reorder scratch
-  std::string opbuf_;             // extracted op name
   std::string respbuf_;           // response assembly (service fast path)
   std::vector<Member> members_;   // flat per-depth member stack
 };

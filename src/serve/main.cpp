@@ -350,7 +350,12 @@ int main(int argc, char** argv) {
       if (service.try_serve_fast(line, item.ready)) {
         item.is_ready = true;
       } else {
-        item.fut = service.submit(std::move(line));
+        // A miss: submit_cb, since submit() would probe the cache again.
+        auto answer = std::make_shared<std::promise<std::string>>();
+        item.fut = answer->get_future();
+        service.submit_cb(std::move(line), [answer](std::string resp) {
+          answer->set_value(std::move(resp));
+        });
       }
       {
         std::lock_guard<std::mutex> lock(mu);

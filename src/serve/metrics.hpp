@@ -2,9 +2,9 @@
 // histograms, exported by the `stats` endpoint.
 //
 // All mutation paths are lock-free atomics (support/histogram.hpp); the
-// endpoint map itself is built once at construction over the fixed op
-// vocabulary and never restructured, so readers and writers touch it
-// without locks.  Unknown ops land in the "_other" slot.
+// endpoints are a fixed array indexed by Op (serve/protocol.hpp), so
+// readers and writers touch it without locks.  Unknown ops land in the
+// Op::Other slot, exported as "_other".
 //
 // Stats are observability, not results: they are the one part of the
 // service whose bytes legitimately vary run to run, which is why query
@@ -12,14 +12,13 @@
 // docs/serving.md).
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <map>
-#include <memory>
 #include <string>
-#include <string_view>
-#include <vector>
 
+#include "plan/cost_model.hpp"
 #include "serve/json.hpp"
+#include "serve/protocol.hpp"
 #include "support/histogram.hpp"
 
 namespace pmonge::serve {
@@ -40,20 +39,8 @@ struct EndpointMetrics {
 
 class ServiceMetrics {
  public:
-  explicit ServiceMetrics(const std::vector<std::string>& ops) {
-    for (const auto& op : ops) {
-      by_op_.emplace(op, std::make_unique<EndpointMetrics>());
-    }
-    other_ =
-        by_op_.emplace(kOther, std::make_unique<EndpointMetrics>())
-            .first->second.get();
-  }
-
-  /// string_view overload (and transparent map comparator) so the
-  /// fast path's op -- a view into codec scratch -- needs no key copy.
-  EndpointMetrics& endpoint(std::string_view op) {
-    const auto it = by_op_.find(op);
-    return it == by_op_.end() ? *other_ : *it->second;
+  EndpointMetrics& endpoint(Op op) {
+    return by_op_[static_cast<std::size_t>(op)];
   }
 
   support::Counter& batches() { return batches_; }
@@ -61,16 +48,17 @@ class ServiceMetrics {
   support::Counter& charged_time() { return charged_time_; }
   support::Counter& charged_work() { return charged_work_; }
 
-  // Planner choice counters (one per executed group, by chosen variant).
-  support::Counter& plans_brute() { return plans_brute_; }
-  support::Counter& plans_sequential() { return plans_sequential_; }
-  support::Counter& plans_parallel() { return plans_parallel_; }
+  /// Planner choice counter (one per executed group, by chosen variant).
+  support::Counter& plans(plan::Algo algo) {
+    return plans_[static_cast<std::size_t>(algo)];
+  }
 
   /// Snapshot as a JSON object (endpoints with zero requests and zero
   /// rejections are omitted to keep `stats` responses readable).
   Json snapshot() const {
     Json::Obj endpoints;
-    for (const auto& [op, m] : by_op_) {
+    for (std::size_t i = 0; i < kOpCount; ++i) {
+      const EndpointMetrics* m = &by_op_[i];
       if (m->requests.value() == 0 && m->overloaded.value() == 0 &&
           m->unmeetable.value() == 0) {
         continue;
@@ -104,7 +92,7 @@ class ServiceMetrics {
       }
       lat["buckets"] = Json(std::move(buckets));
       e["latency"] = Json(std::move(lat));
-      endpoints[op] = Json(std::move(e));
+      endpoints[std::string(kOpTable[i].name)] = Json(std::move(e));
     }
     Json::Obj out;
     out["endpoints"] = Json(std::move(endpoints));
@@ -118,24 +106,22 @@ class ServiceMetrics {
     charged["work"] = charged_work_.value();
     out["charged"] = Json(std::move(charged));
     Json::Obj plans;
-    plans["brute"] = plans_brute_.value();
-    plans["sequential"] = plans_sequential_.value();
-    plans["parallel"] = plans_parallel_.value();
+    for (std::size_t a = 0; a < kAlgos; ++a) {
+      plans[plan::algo_name(static_cast<plan::Algo>(a))] = plans_[a].value();
+    }
     out["plans"] = Json(std::move(plans));
     return Json(std::move(out));
   }
 
  private:
-  static constexpr const char* kOther = "_other";
-  std::map<std::string, std::unique_ptr<EndpointMetrics>, std::less<>> by_op_;
-  EndpointMetrics* other_ = nullptr;  // the "_other" slot, cached
+  static constexpr std::size_t kAlgos =
+      static_cast<std::size_t>(plan::Algo::Parallel) + 1;
+  std::array<EndpointMetrics, kOpCount> by_op_;
   support::Counter batches_;
   support::LogHistogram batch_size_;
   support::Counter charged_time_;  // summed simulated-PRAM steps
   support::Counter charged_work_;  // summed simulated-PRAM work
-  support::Counter plans_brute_;
-  support::Counter plans_sequential_;
-  support::Counter plans_parallel_;
+  std::array<support::Counter, kAlgos> plans_;  // indexed by plan::Algo
 };
 
 }  // namespace pmonge::serve

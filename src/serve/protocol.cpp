@@ -1,32 +1,8 @@
 #include "serve/protocol.hpp"
 
-#include <algorithm>
-
 #include "support/fmt.hpp"
 
 namespace pmonge::serve {
-
-const std::vector<std::string>& query_ops() {
-  static const std::vector<std::string> ops = {
-      "rowmin",      "rowmax",       "staircase_rowmin", "staircase_rowmax",
-      "tubemax",     "tubemin",      "string_edit",      "largest_rect",
-      "empty_rect",  "polygon_neighbors", "submatrix_min", "submatrix_max",
-      "explain",
-  };
-  return ops;
-}
-
-bool is_query_op(std::string_view op) {
-  const auto& ops = query_ops();
-  return std::find(ops.begin(), ops.end(), op) != ops.end();
-}
-
-bool is_control_op(std::string_view op) {
-  return op == "register_dense" || op == "register_staircase" ||
-         op == "register_random" || op == "unregister" || op == "stats" ||
-         op == "ping" || op == "trace" || op == "index_build" ||
-         op == "index_drop" || op == "index_stats";
-}
 
 Request parse_request(const std::string& line) {
   Request req;
@@ -34,7 +10,7 @@ Request parse_request(const std::string& line) {
   if (req.body.type() != Json::Type::Object) {
     throw JsonError("bad_request: request must be a JSON object");
   }
-  req.op = req.body.at("op").as_string();
+  req.op = parse_op(req.body.at("op").as_string());
   if (const Json* id = req.body.find("id")) req.id = id->as_int();
   if (const Json* dl = req.body.find("deadline_ms")) {
     req.deadline_ms = dl->as_int();
@@ -47,7 +23,7 @@ Request parse_request(const std::string& line) {
     if (t <= 0) throw JsonError("bad_request: trace_id must be positive");
     req.trace_id = static_cast<std::uint64_t>(t);
   }
-  if (is_query_op(req.op)) {
+  if (op_spec(req.op).query) {
     // Canonical body with transport fields skipped, emitted straight from
     // the sorted parse tree -- no copied-and-erased Obj per request.
     req.signature.reserve(line.size());

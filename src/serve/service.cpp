@@ -26,23 +26,11 @@ std::uint64_t us_between(ServeClock::time_point a, ServeClock::time_point b) {
   return d.count() < 0 ? 0 : static_cast<std::uint64_t>(d.count());
 }
 
-std::vector<std::string> all_ops() {
-  std::vector<std::string> ops = query_ops();
-  for (const char* op :
-       {"register_dense", "register_staircase", "register_random",
-        "unregister", "stats", "ping", "trace", "index_build", "index_drop",
-        "index_stats"}) {
-    ops.emplace_back(op);
-  }
-  return ops;
-}
-
 }  // namespace
 
 Service::Service(ServiceOptions opts)
     : opts_(opts),
       cache_(opts.cache_capacity, opts.cache_shards),
-      metrics_(all_ops()),
       planner_(opts.profile, opts.planner, exec::num_threads()),
       batcher_(registry_, cache_, metrics_, planner_, indexes_, opts.model,
                opts.coalesce, opts.resilience),
@@ -72,7 +60,7 @@ bool Service::try_serve_fast(std::string_view line, std::string& out) {
   FastQuery q;
   if (!codec.canonicalize_query(line, q)) return false;
   // explain reports live plan/cost observations and is never cached.
-  if (q.op == "explain" || !is_query_op(q.op)) return false;
+  if (q.op == Op::Explain || !op_spec(q.op).query) return false;
 
   const auto t0 = ServeClock::now();
   std::string& buf = codec.response_buffer();
@@ -106,24 +94,13 @@ bool Service::try_serve_fast(std::string_view line, std::string& out) {
 }
 
 void Service::submit_cb(std::string line, ResponseCallback done) {
-  {
-    // Cached-hit fast path: answered inline on the submitting thread,
-    // exactly like control ops and admission rejections already are.
-    thread_local std::string fastbuf;
-    fastbuf.clear();
-    if (try_serve_fast(line, fastbuf)) {
-      done(fastbuf);
-      return;
-    }
-  }
-
   obs::Span span("serve.admit");
 
   Request req;
   try {
     req = parse_request(line);
   } catch (const std::exception& e) {
-    metrics_.endpoint("_other").errors.add();
+    metrics_.endpoint(Op::Other).errors.add();
     // Envelope-shape errors arrive pre-categorized as bad_request; only
     // raw lexer failures get the parse_error category here.
     std::string msg = e.what();
@@ -132,10 +109,10 @@ void Service::submit_cb(std::string line, ResponseCallback done) {
     return;
   }
 
-  span.set_detail(req.op);
+  span.set_detail(op_spec(req.op).name);
   span.set_trace(req.trace_id);
 
-  if (!is_query_op(req.op)) {
+  if (!op_spec(req.op).query) {
     EndpointMetrics& em = metrics_.endpoint(req.op);
     em.requests.add();
     const auto t0 = ServeClock::now();
@@ -165,7 +142,7 @@ void Service::submit_cb(std::string line, ResponseCallback done) {
   // Deadline-aware admission: if the cost model already knows the
   // deadline cannot be met, reject before the request burns queue space
   // or engine time.  explain is exempt (it exists to report the plan).
-  if (planner_.enabled() && deadline_ms >= 0 && req.op != "explain") {
+  if (planner_.enabled() && deadline_ms >= 0 && req.op != Op::Explain) {
     const double predicted_us =
         planner_.predicted_us(query_shape(req, registry_));
     if (predicted_us > static_cast<double>(deadline_ms) * 1000.0) {
@@ -199,6 +176,14 @@ void Service::submit_cb(std::string line, ResponseCallback done) {
 }
 
 std::future<std::string> Service::submit(std::string line) {
+  // Cached-hit fast path: answered inline on the submitting thread,
+  // exactly like control ops and admission rejections already are.
+  std::string hit;
+  if (try_serve_fast(line, hit)) {
+    std::promise<std::string> answered;
+    answered.set_value(std::move(hit));
+    return answered.get_future();
+  }
   auto promise = std::make_shared<std::promise<std::string>>();
   std::future<std::string> fut = promise->get_future();
   submit_cb(std::move(line),
@@ -249,7 +234,7 @@ obs::SpanRecord request_span(const Request& r, ServeClock::time_point enqueued,
   rec.trace_id = r.trace_id;
   rec.start_us = obs::to_trace_us(enqueued);
   rec.dur_us = us_between(enqueued, done);
-  rec.set_detail(r.op);
+  rec.set_detail(op_spec(r.op).name);
   return rec;
 }
 
@@ -272,7 +257,6 @@ void Service::worker_loop() {
 
     // Answer expired deadlines without running them; everything else
     // forms the live batch the batcher coalesces.
-    std::vector<const Request*> live;
     std::vector<std::size_t> live_idx;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (batch[i].expired) {
@@ -285,18 +269,20 @@ void Service::worker_loop() {
         if (traced) obs::emit(request_span(r, batch[i].enqueued, done));
         batch[i].item.done(make_error_response(r.id, "deadline_expired"));
       } else {
-        live.push_back(&batch[i].item.req);
         live_idx.push_back(i);
       }
     }
-    if (live.empty()) continue;
+    if (live_idx.empty()) continue;
 
+    // The requests move into the batch; the answer loop reads them there.
     std::vector<Request> reqs;
-    reqs.reserve(live.size());
-    for (const Request* r : live) reqs.push_back(*r);
     std::vector<ServeClock::time_point> deadlines;
-    deadlines.reserve(live.size());
-    for (const std::size_t i : live_idx) deadlines.push_back(batch[i].deadline);
+    reqs.reserve(live_idx.size());
+    deadlines.reserve(live_idx.size());
+    for (const std::size_t i : live_idx) {
+      reqs.push_back(std::move(batch[i].item.req));
+      deadlines.push_back(batch[i].deadline);
+    }
     std::vector<BatchOutcome> outcomes;
     try {
       outcomes = batcher_.run(reqs, deadlines);
@@ -311,15 +297,16 @@ void Service::worker_loop() {
     std::vector<std::string> responses;
     responses.reserve(outcomes.size());
     for (std::size_t t = 0; t < outcomes.size(); ++t) {
-      auto& slot = batch[live_idx[t]];
-      const Request& r = slot.item.req;
+      const auto& slot = batch[live_idx[t]];
+      const Request& r = reqs[t];
       EndpointMetrics& em = metrics_.endpoint(r.op);
+      std::string& resp = responses.emplace_back();
       if (outcomes[t].ok) {
         em.ok.add();
-        responses.push_back(make_ok_response(r.id, outcomes[t].result));
+        append_ok_response_raw(r.id, outcomes[t].result, resp);
       } else {
         em.errors.add();
-        responses.push_back(make_error_response(r.id, outcomes[t].error));
+        append_error_response(r.id, outcomes[t].error, resp);
       }
       const auto done = ServeClock::now();
       em.latency_us.record(us_between(slot.enqueued, done));
@@ -373,208 +360,205 @@ monge::DenseArray<std::int64_t> dense_from_body(const Json& body,
 
 std::string Service::handle_control(const Request& req) {
   try {
-    if (req.op == "ping") {
-      Json::Obj o;
-      o["pong"] = true;
-      return make_ok_response(req.id, Json(std::move(o)));
-    }
-
-    if (req.op == "stats") {
-      if (const Json* fmt = req.body.find("format")) {
-        const std::string& f = fmt->as_string();
-        if (f == "prometheus") {
-          // Text exposition rides inside the JSON envelope; a scraper
-          // peels result.text.  The snapshot is the same either way.
-          Json::Obj o;
-          o["format"] = "prometheus";
-          o["text"] = obs::prometheus_text(stats_json());
-          return make_ok_response(req.id, Json(std::move(o)));
+    switch (req.op) {
+      case Op::Ping: {
+        Json::Obj o;
+        o["pong"] = true;
+        return make_ok_response(req.id, Json(std::move(o)));
+      }
+      case Op::Stats: {
+        if (const Json* fmt = req.body.find("format")) {
+          const std::string& f = fmt->as_string();
+          if (f == "prometheus") {
+            // Text exposition rides inside the JSON envelope; a scraper
+            // peels result.text.  The snapshot is the same either way.
+            Json::Obj o;
+            o["format"] = "prometheus";
+            o["text"] = obs::prometheus_text(stats_json());
+            return make_ok_response(req.id, Json(std::move(o)));
+          }
+          if (f != "json") {
+            return make_error_response(
+                req.id, "bad_request: unknown stats format \"" + f + "\"");
+          }
         }
-        if (f != "json") {
-          return make_error_response(
-              req.id, "bad_request: unknown stats format \"" + f + "\"");
+        return make_ok_response(req.id, stats_json());
+      }
+      case Op::Trace: {
+        // Drain every thread's span ring into one Chrome trace-event
+        // document (loadable in Perfetto).  Draining is destructive by
+        // design: each span is reported exactly once.
+        return make_ok_response(req.id, obs::chrome_trace_json(obs::collect()));
+      }
+      case Op::Unregister: {
+        const std::int64_t id = req.body.at("array").as_int();
+        const bool removed =
+            id >= 0 && registry_.remove(static_cast<std::uint64_t>(id));
+        // Cached results that read this array must die with it: a later
+        // query on the removed id has to answer unknown_array, never a
+        // stale ok resurrected from the LRU.
+        std::size_t dropped = 0;
+        if (removed) {
+          dropped = cache_.invalidate_tag(static_cast<std::uint64_t>(id));
+          // An index must never survive its array.  Silent on purpose:
+          // the unregister response bytes predate the index subsystem and
+          // are pinned by golden transcripts.
+          indexes_.drop(static_cast<std::uint64_t>(id));
         }
+        Json::Obj o;
+        o["removed"] = removed;
+        o["cache_invalidated"] = static_cast<std::int64_t>(dropped);
+        return make_ok_response(req.id, Json(std::move(o)));
       }
-      return make_ok_response(req.id, stats_json());
-    }
-
-    if (req.op == "trace") {
-      // Drain every thread's span ring into one Chrome trace-event
-      // document (loadable in Perfetto).  Draining is destructive by
-      // design: each span is reported exactly once.
-      return make_ok_response(req.id, obs::chrome_trace_json(obs::collect()));
-    }
-
-    if (req.op == "unregister") {
-      const std::int64_t id = req.body.at("array").as_int();
-      const bool removed =
-          id >= 0 && registry_.remove(static_cast<std::uint64_t>(id));
-      // Cached results that read this array must die with it: a later
-      // query on the removed id has to answer unknown_array, never a
-      // stale ok resurrected from the LRU.
-      std::size_t dropped = 0;
-      if (removed) {
-        dropped = cache_.invalidate_tag(static_cast<std::uint64_t>(id));
-        // An index must never survive its array.  Silent on purpose:
-        // the unregister response bytes predate the index subsystem and
-        // are pinned by golden transcripts.
-        indexes_.drop(static_cast<std::uint64_t>(id));
-      }
-      Json::Obj o;
-      o["removed"] = removed;
-      o["cache_invalidated"] = static_cast<std::int64_t>(dropped);
-      return make_ok_response(req.id, Json(std::move(o)));
-    }
-
-    if (req.op == "index_build") {
-      const std::int64_t id = req.body.at("array").as_int();
-      auto entry =
-          id < 0 ? nullptr : registry_.get(static_cast<std::uint64_t>(id));
-      if (entry == nullptr) {
-        return make_error_response(req.id,
-                                   "unknown_array: " + std::to_string(id));
-      }
-      const auto info =
-          indexes_.build(static_cast<std::uint64_t>(id), std::move(entry));
-      // Deterministic response: nodes/leaf_rows/memory_bytes are a pure
-      // function of the array (timings live in index_stats).
-      Json::Obj o;
-      o["array"] = id;
-      o["nodes"] = info.nodes;
-      o["leaf_rows"] = info.leaf_rows;
-      o["memory_bytes"] = info.memory_bytes;
-      return make_ok_response(req.id, Json(std::move(o)));
-    }
-
-    if (req.op == "index_drop") {
-      const std::int64_t id = req.body.at("array").as_int();
-      if (id < 0 || registry_.get(static_cast<std::uint64_t>(id)) == nullptr) {
-        return make_error_response(req.id,
-                                   "unknown_array: " + std::to_string(id));
-      }
-      Json::Obj o;
-      o["array"] = id;
-      o["dropped"] = indexes_.drop(static_cast<std::uint64_t>(id));
-      return make_ok_response(req.id, Json(std::move(o)));
-    }
-
-    if (req.op == "index_stats") {
-      if (const Json* a = req.body.find("array")) {
-        const std::int64_t id = a->as_int();
-        auto idx =
-            id < 0 ? nullptr : indexes_.get(static_cast<std::uint64_t>(id));
-        if (idx == nullptr) {
+      case Op::IndexBuild: {
+        const std::int64_t id = req.body.at("array").as_int();
+        auto entry =
+            id < 0 ? nullptr : registry_.get(static_cast<std::uint64_t>(id));
+        if (entry == nullptr) {
           return make_error_response(req.id,
-                                     "not_indexed: " + std::to_string(id));
+                                     "unknown_array: " + std::to_string(id));
+        }
+        const auto info =
+            indexes_.build(static_cast<std::uint64_t>(id), std::move(entry));
+        // Deterministic response: nodes/leaf_rows/memory_bytes are a pure
+        // function of the array (timings live in index_stats).
+        Json::Obj o;
+        o["array"] = id;
+        o["nodes"] = info.nodes;
+        o["leaf_rows"] = info.leaf_rows;
+        o["memory_bytes"] = info.memory_bytes;
+        return make_ok_response(req.id, Json(std::move(o)));
+      }
+      case Op::IndexDrop: {
+        const std::int64_t id = req.body.at("array").as_int();
+        if (id < 0 ||
+            registry_.get(static_cast<std::uint64_t>(id)) == nullptr) {
+          return make_error_response(req.id,
+                                     "unknown_array: " + std::to_string(id));
         }
         Json::Obj o;
         o["array"] = id;
-        o["nodes"] = idx->nodes();
-        o["leaf_rows"] = idx->leaf_rows();
-        o["memory_bytes"] = idx->memory_bytes();
-        o["build_us"] = idx->build_us();
-        o["lookups"] = idx->lookups();
-        o["corrupt_detected"] = idx->corrupt_detected();
-        o["node_rebuilds"] = idx->node_rebuilds();
+        o["dropped"] = indexes_.drop(static_cast<std::uint64_t>(id));
         return make_ok_response(req.id, Json(std::move(o)));
       }
-      return make_ok_response(req.id, indexes_.stats_json());
-    }
-
-    if (req.op == "register_dense" || req.op == "register_staircase") {
-      const std::size_t rows = size_field(req.body, "rows");
-      const std::size_t cols = size_field(req.body, "cols");
-      if (rows * cols > opts_.max_register_cells) {
-        return make_error_response(req.id, "bad_request: array too large");
+      case Op::IndexStats: {
+        if (const Json* a = req.body.find("array")) {
+          const std::int64_t id = a->as_int();
+          auto idx =
+              id < 0 ? nullptr : indexes_.get(static_cast<std::uint64_t>(id));
+          if (idx == nullptr) {
+            return make_error_response(req.id,
+                                       "not_indexed: " + std::to_string(id));
+          }
+          Json::Obj o;
+          o["array"] = id;
+          o["nodes"] = idx->nodes();
+          o["leaf_rows"] = idx->leaf_rows();
+          o["memory_bytes"] = idx->memory_bytes();
+          o["build_us"] = idx->build_us();
+          o["lookups"] = idx->lookups();
+          o["corrupt_detected"] = idx->corrupt_detected();
+          o["node_rebuilds"] = idx->node_rebuilds();
+          return make_ok_response(req.id, Json(std::move(o)));
+        }
+        return make_ok_response(req.id, indexes_.stats_json());
       }
-      ArrayEntry entry;
-      entry.data = dense_from_body(req.body, rows, cols);
-      if (req.op == "register_staircase") {
-        entry.kind = ArrayEntry::Kind::Staircase;
-        const auto& fr = req.body.at("frontier").arr();
-        if (fr.size() != rows) {
-          throw JsonError("bad_request: frontier length != rows");
+      case Op::RegisterDense:
+      case Op::RegisterStaircase: {
+        const std::size_t rows = size_field(req.body, "rows");
+        const std::size_t cols = size_field(req.body, "cols");
+        if (rows * cols > opts_.max_register_cells) {
+          return make_error_response(req.id, "bad_request: array too large");
         }
-        for (std::size_t i = 0; i < rows; ++i) {
-          const std::int64_t f = fr[i].as_int();
-          if (f < 0 || static_cast<std::size_t>(f) > cols) {
-            throw JsonError("bad_request: frontier entry out of range");
+        ArrayEntry entry;
+        entry.data = dense_from_body(req.body, rows, cols);
+        if (req.op == Op::RegisterStaircase) {
+          entry.kind = ArrayEntry::Kind::Staircase;
+          const auto& fr = req.body.at("frontier").arr();
+          if (fr.size() != rows) {
+            throw JsonError("bad_request: frontier length != rows");
           }
-          entry.frontier.push_back(static_cast<std::size_t>(f));
-          if (i > 0 && entry.frontier[i] > entry.frontier[i - 1]) {
-            throw JsonError("bad_request: frontier must be non-increasing");
+          for (std::size_t i = 0; i < rows; ++i) {
+            const std::int64_t f = fr[i].as_int();
+            if (f < 0 || static_cast<std::size_t>(f) > cols) {
+              throw JsonError("bad_request: frontier entry out of range");
+            }
+            entry.frontier.push_back(static_cast<std::size_t>(f));
+            if (i > 0 && entry.frontier[i] > entry.frontier[i - 1]) {
+              throw JsonError("bad_request: frontier must be non-increasing");
+            }
+          }
+        } else {
+          const std::string kind =
+              req.body.find("kind") ? req.body.at("kind").as_string() : "monge";
+          if (kind == "monge") {
+            entry.kind = ArrayEntry::Kind::Monge;
+          } else if (kind == "inverse_monge") {
+            entry.kind = ArrayEntry::Kind::InverseMonge;
+          } else {
+            throw JsonError("bad_request: unknown kind \"" + kind + "\"");
           }
         }
-      } else {
+        const Json* validate = req.body.find("validate");
+        if (validate != nullptr && validate->as_bool()) {
+          bool good = true;
+          switch (entry.kind) {
+            case ArrayEntry::Kind::Monge:
+              good = monge::is_monge(entry.data);
+              break;
+            case ArrayEntry::Kind::InverseMonge:
+              good = monge::is_inverse_monge(entry.data);
+              break;
+            case ArrayEntry::Kind::Staircase: {
+              monge::StaircaseArray<monge::DenseArray<std::int64_t>> s(
+                  entry.data, entry.frontier);
+              good = monge::is_staircase_monge(s);
+              break;
+            }
+          }
+          if (!good) {
+            return make_error_response(
+                req.id, std::string("not_") + entry.kind_name());
+          }
+        }
+        Json::Obj o;
+        o["array"] = registry_.add(std::move(entry));
+        return make_ok_response(req.id, Json(std::move(o)));
+      }
+      case Op::RegisterRandom: {
+        const std::size_t rows = size_field(req.body, "rows");
+        const std::size_t cols = size_field(req.body, "cols");
+        if (rows * cols > opts_.max_register_cells) {
+          return make_error_response(req.id, "bad_request: array too large");
+        }
+        const auto seed = static_cast<std::uint64_t>(
+            req.body.find("seed") ? req.body.at("seed").as_int() : 0);
         const std::string kind =
             req.body.find("kind") ? req.body.at("kind").as_string() : "monge";
+        Rng rng(seed);
+        ArrayEntry entry;
         if (kind == "monge") {
           entry.kind = ArrayEntry::Kind::Monge;
+          entry.data = monge::random_monge(rows, cols, rng);
         } else if (kind == "inverse_monge") {
           entry.kind = ArrayEntry::Kind::InverseMonge;
+          entry.data = monge::random_inverse_monge(rows, cols, rng);
+        } else if (kind == "staircase") {
+          entry.kind = ArrayEntry::Kind::Staircase;
+          auto inst = monge::random_staircase_monge(rows, cols, rng);
+          entry.data = std::move(inst.base);
+          entry.frontier = std::move(inst.frontier);
         } else {
           throw JsonError("bad_request: unknown kind \"" + kind + "\"");
         }
+        Json::Obj o;
+        o["array"] = registry_.add(std::move(entry));
+        return make_ok_response(req.id, Json(std::move(o)));
       }
-      const Json* validate = req.body.find("validate");
-      if (validate != nullptr && validate->as_bool()) {
-        bool good = true;
-        switch (entry.kind) {
-          case ArrayEntry::Kind::Monge:
-            good = monge::is_monge(entry.data);
-            break;
-          case ArrayEntry::Kind::InverseMonge:
-            good = monge::is_inverse_monge(entry.data);
-            break;
-          case ArrayEntry::Kind::Staircase: {
-            monge::StaircaseArray<monge::DenseArray<std::int64_t>> s(
-                entry.data, entry.frontier);
-            good = monge::is_staircase_monge(s);
-            break;
-          }
-        }
-        if (!good) {
-          return make_error_response(
-              req.id, std::string("not_") + entry.kind_name());
-        }
-      }
-      Json::Obj o;
-      o["array"] = registry_.add(std::move(entry));
-      return make_ok_response(req.id, Json(std::move(o)));
+      default:
+        return make_error_response(
+            req.id, "unknown_op: " + req.body.at("op").as_string());
     }
-
-    if (req.op == "register_random") {
-      const std::size_t rows = size_field(req.body, "rows");
-      const std::size_t cols = size_field(req.body, "cols");
-      if (rows * cols > opts_.max_register_cells) {
-        return make_error_response(req.id, "bad_request: array too large");
-      }
-      const auto seed = static_cast<std::uint64_t>(
-          req.body.find("seed") ? req.body.at("seed").as_int() : 0);
-      const std::string kind =
-          req.body.find("kind") ? req.body.at("kind").as_string() : "monge";
-      Rng rng(seed);
-      ArrayEntry entry;
-      if (kind == "monge") {
-        entry.kind = ArrayEntry::Kind::Monge;
-        entry.data = monge::random_monge(rows, cols, rng);
-      } else if (kind == "inverse_monge") {
-        entry.kind = ArrayEntry::Kind::InverseMonge;
-        entry.data = monge::random_inverse_monge(rows, cols, rng);
-      } else if (kind == "staircase") {
-        entry.kind = ArrayEntry::Kind::Staircase;
-        auto inst = monge::random_staircase_monge(rows, cols, rng);
-        entry.data = std::move(inst.base);
-        entry.frontier = std::move(inst.frontier);
-      } else {
-        throw JsonError("bad_request: unknown kind \"" + kind + "\"");
-      }
-      Json::Obj o;
-      o["array"] = registry_.add(std::move(entry));
-      return make_ok_response(req.id, Json(std::move(o)));
-    }
-
-    return make_error_response(req.id, "unknown_op: " + req.op);
   } catch (const JsonError& e) {
     return make_error_response(req.id, e.what());
   } catch (const std::exception& e) {

@@ -6,7 +6,8 @@
 //
 // Plumbing (docs/serving.md has the full picture):
 //
-//   submit(line) --parse--> control op?  handled synchronously
+//   submit(line) --cached hit?  answered inline (try_serve_fast)
+//       \-> submit_cb --parse--> control op?  handled synchronously
 //                       \-> query op --> AdmissionQueue (bounded; full =>
 //                            immediate `overloaded` rejection)
 //   worker thread:  pop_batch(batch_max) --> expired deadlines answered
@@ -85,13 +86,15 @@ class Service {
   using ResponseCallback = std::function<void(std::string)>;
 
   /// Submit one request line, callback form: the transport front-ends'
-  /// entry point (the TCP server enqueues the response into the owning
-  /// connection from here).  Thread-safe.
+  /// entry point for lines try_serve_fast did not answer (each front-end
+  /// probes the cache once per line itself, so this does not probe it
+  /// again).  Thread-safe.
   void submit_cb(std::string line, ResponseCallback done);
 
-  /// Submit one request line.  Control ops resolve before returning;
-  /// query ops resolve when the worker answers (immediately with
-  /// `overloaded` if the admission queue is full).  Thread-safe.
+  /// Submit one request line: try_serve_fast, then submit_cb.  Cached
+  /// hits and control ops resolve before returning; other query ops
+  /// resolve when the worker answers (immediately with `overloaded` if
+  /// the admission queue is full).  Thread-safe.
   std::future<std::string> submit(std::string line);
 
   /// Synchronous single request.
@@ -100,10 +103,10 @@ class Service {
   /// Zero-allocation cached-hit attempt: if `line` is a well-formed
   /// query (no deadline/trace fields) whose canonical signature is in
   /// the result cache, appends the full response (no newline) to `out`
-  /// and returns true.  False means "not served" -- submit the line
-  /// through submit_cb/submit as usual; nothing was consumed or counted.
-  /// `out` is untouched on false.  Thread-safe; transport front-ends
-  /// call this inline before paying for the queue hand-off.
+  /// and returns true.  False means "not served" -- hand the line to
+  /// submit_cb; nothing was consumed or counted.  `out` is untouched on
+  /// false.  Thread-safe; transport front-ends call this inline before
+  /// paying for the queue hand-off.
   bool try_serve_fast(std::string_view line, std::string& out);
 
   /// Submit all lines, then wait; responses align with `lines`.

@@ -234,9 +234,9 @@ TEST(CodecDifferential, AcceptedLinesMatchSlowPathExactly) {
     ASSERT_TRUE(slow_ok) << "codec accepted a line the parser rejects: "
                          << line;
     // parse_request computes the signature only for query ops (the
-    // service re-checks is_query_op after the codec and refuses control
-    // ops to the slow path), so compare signatures on that domain.
-    if (serve::is_query_op(r.op)) {
+    // service re-checks the op's plane after the codec and refuses
+    // control ops to the slow path), so compare signatures on that domain.
+    if (serve::op_spec(r.op).query) {
       EXPECT_EQ(q.signature, r.signature) << "line: " << line;
     }
     EXPECT_EQ(q.op, r.op) << "line: " << line;

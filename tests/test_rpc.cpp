@@ -487,9 +487,10 @@ TEST(RpcServer, SlowReaderIsPausedWithBoundedMemoryThenRecovers) {
 TEST(RpcServer, InflightValvePausesReadsButAnswersEverything) {
   // Query ops (not control ops) so responses need a worker round trip,
   // and 200 distinct rows so none is a cache hit the loop could answer
-  // inline: every request sits in the pending FIFO until the worker
-  // answers it, so a pipelined burst trips the inflight valve at least
-  // once, yet every request still gets its answer.
+  // inline.  The worker is held while the burst arrives, so the pending
+  // FIFO only grows and must trip the inflight valve (no race with the
+  // worker draining it); after resume() every request still gets its
+  // answer, in order.
   rpc::ServerOptions ropts;
   ropts.limits.max_inflight = 2;
   ropts.limits.overload_inflight = 512;
@@ -499,17 +500,27 @@ TEST(RpcServer, InflightValvePausesReadsButAnswersEverything) {
       c.request(
           R"({"op":"register_random","id":1,"rows":256,"cols":16,"seed":3})"),
       R"({"id":1,"ok":true,"result":{"array":0}})");
-  std::vector<std::string> reqs;
-  for (int i = 1; i <= 200; ++i) {
-    reqs.push_back(R"({"op":"rowmin","id":)" + std::to_string(i) +
-                   R"(,"array":0,"row":)" + std::to_string(i) + "}");
+  ts.service.pause();
+  constexpr int kRequests = 200;
+  for (int i = 1; i <= kRequests; ++i) {
+    c.send_line(R"({"op":"rowmin","id":)" + std::to_string(i) +
+                R"(,"array":0,"row":)" + std::to_string(i) + "}");
   }
-  const std::vector<std::string> resps = c.pipeline(reqs);
-  ASSERT_EQ(resps.size(), reqs.size());
-  for (std::size_t i = 0; i < resps.size(); ++i) {
-    EXPECT_NE(resps[i].find("\"ok\":true"), std::string::npos) << resps[i];
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (ts.server.stats().read_pauses.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
   }
-  EXPECT_GE(ts.server.stats().read_pauses.load(), 1u);
+  EXPECT_GE(ts.server.stats().read_pauses.load(), 1u)
+      << "inflight valve never paused reads";
+  ts.service.resume();
+  for (int i = 1; i <= kRequests; ++i) {
+    const std::string resp = c.recv_line();
+    EXPECT_NE(resp.find(R"({"id":)" + std::to_string(i) + R"(,"ok":true)"),
+              std::string::npos)
+        << resp;
+  }
+  EXPECT_EQ(c.request(kPing), kPong);
 }
 
 // ---------------------------------------------------------------------------
