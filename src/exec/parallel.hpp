@@ -47,8 +47,10 @@ namespace pmonge::exec {
 /// profile prices entering the pool as exactly this much work
 /// (par_dispatch_ns = kappa * par_ns_per_work = 20000 ns): below it,
 /// submitting costs more than the work it would spread.  On the 4-vCPU
-/// reference host serial time per unit of charged work measured
-/// 1.3-3.4 ns across 16x16 to 1024x1024 searches, so kappa is 7-17 us.
+/// reference host (Intel Xeon KVM guest, one pinned lane, Release) serial
+/// time per unit of charged work measured 0.4-0.7 ns across 16x16 to
+/// 1024x1024 CRCW row-minima searches (medians of eight runs per size),
+/// so kappa is about 2-3.5 us of serial work.
 inline constexpr std::uint64_t kForkWork = 5000;
 
 /// Indices per chunk for a loop whose body costs about `cost_hint` units

@@ -26,12 +26,15 @@
 // compiler sees one instantiation per input array type (nesting SubArray/
 // RowSelect view types recursively would blow up template depth).
 //
-// Host execution: every parallel_branches fan-out below carries the
-// predicted charged work of its branches (rowmin_work / scan_work), and
-// the src/exec engine runs it in place or on the pool by that prediction
-// alone.  Branch bodies write only disjoint slots of `out` / `block`
-// (their branch's rows), which is the independence the simulated machine
-// already required; `eval` must be a pure read.
+// Host execution: every fan-out below carries the predicted charged work
+// of its branches (rowmin_work / scan_work), and the src/exec engine runs
+// it in place or on the pool by that prediction alone.  The per-row
+// direct scans (the small case, Case 2's pick over block winners, Case
+// 1's fill-in) are uniform forks of argopts, so they go through
+// pram::argopt_each, which charges the fork once.  Branch bodies write
+// only disjoint slots of `out` / `block` (their branch's rows), which is
+// the independence the simulated machine already required; `eval` must
+// be a pure read.
 // Memory: the recursion writes into caller-owned spans and allocates
 // nothing on the heap.  A frame's temporaries (sampled positions and
 // their results, bracket lists, Case 2's block winners) live on the
@@ -77,16 +80,23 @@ inline std::uint64_t scan_work(std::size_t rows, std::size_t width) {
 
 namespace detail {
 
-/// Ranged argopt over columns [lo, hi] of one row, with tie policy.
+/// Direct scans: every row of `rows` over columns [lo, hi], its leftmost
+/// (PreferLeft) or rightmost minimum into `out` (aligned with `rows`).
+/// One uniform fork of argopts, charged once (pram::argopt_each).
 template <bool PreferLeft, class T, class EvalF>
-RowOpt<T> row_range_opt(pram::Machine& m, const EvalF& eval, std::size_t row,
-                        std::size_t lo, std::size_t hi) {
+void scan_rows(pram::Machine& m, const EvalF& eval,
+               std::span<const std::size_t> rows, std::size_t lo,
+               std::size_t hi, std::span<RowOpt<T>> out) {
   const std::size_t width = hi - lo + 1;
-  auto res = pram::argopt<T>(
-      m, width,
-      [&](std::size_t t) { return eval(row, PreferLeft ? lo + t : hi - t); },
-      [](const T& x, const T& y) { return x < y; });
-  return {res.value, PreferLeft ? lo + res.index : hi - res.index};
+  pram::argopt_each<T>(
+      m, rows.size(), width, scan_work(rows.size(), width),
+      [&](std::size_t i, std::size_t t) {
+        return eval(rows[i], PreferLeft ? lo + t : hi - t);
+      },
+      [](const T& x, const T& y) { return x < y; },
+      [&](std::size_t i, const pram::OptResult<T>& r) {
+        out[i] = {r.value, PreferLeft ? lo + r.index : hi - r.index};
+      });
 }
 
 /// Core recursion: leftmost (PreferLeft) or rightmost row minima of the
@@ -101,10 +111,7 @@ void rowmin_rec(pram::Machine& mach, const EvalF& eval,
   const std::size_t n = chi - clo + 1;
 
   if (m <= 4 || n <= 4 || m * n <= 64) {
-    mach.parallel_branches(m, scan_work(m, n), [&](std::size_t i,
-                                                   pram::Machine& sub) {
-      out[i] = row_range_opt<PreferLeft, T>(sub, eval, rows[i], clo, chi);
-    });
+    scan_rows<PreferLeft, T>(mach, eval, rows, clo, chi, out);
     return;
   }
 
@@ -127,16 +134,16 @@ void rowmin_rec(pram::Machine& mach, const EvalF& eval,
       rowmin_rec<PreferLeft, T>(sub, eval, rows, lo, hi,
                                 blocks.subspan(b * m, m));
     });
-    mach.parallel_branches(m, scan_work(m, nb), [&](std::size_t i,
-                                                    pram::Machine& sub) {
-      auto at = [&](std::size_t b) -> const RowOpt<T>& {
-        return blocks[(PreferLeft ? b : nb - 1 - b) * m + i];
-      };
-      auto res = pram::argopt<T>(
-          sub, nb, [&](std::size_t b) { return at(b).value; },
-          [](const T& x, const T& y) { return x < y; });
-      out[i] = at(res.index);
-    });
+    auto at = [&](std::size_t i, std::size_t b) -> const RowOpt<T>& {
+      return blocks[(PreferLeft ? b : nb - 1 - b) * m + i];
+    };
+    pram::argopt_each<T>(
+        mach, m, nb, scan_work(m, nb),
+        [&](std::size_t i, std::size_t b) { return at(i, b).value; },
+        [](const T& x, const T& y) { return x < y; },
+        [&](std::size_t i, const pram::OptResult<T>& r) {
+          out[i] = at(i, r.index);
+        });
     return;
   }
 
@@ -204,11 +211,7 @@ void rowmin_rec(pram::Machine& mach, const EvalF& eval,
       rowmin_rec<PreferLeft, T>(gm, eval, grows, b.lo, b.hi, gout);
       gm.meter().charge(1, grows.size());
     } else {
-      gm.parallel_branches(grows.size(),
-                           scan_work(grows.size(), b.hi - b.lo + 1),
-                           [&](std::size_t i, pram::Machine& rm) {
-        gout[i] = row_range_opt<PreferLeft, T>(rm, eval, grows[i], b.lo, b.hi);
-      });
+      scan_rows<PreferLeft, T>(gm, eval, grows, b.lo, b.hi, gout);
     }
   });
 }

@@ -67,7 +67,11 @@ struct SegmentJob {
 /// (any vector-like container -- the hot path hands in a scratch vector).
 /// Host-side O(m lg n); charged as a scan-based allocation pass (each row
 /// flags its <= lg n set bits, a prefix scan compacts jobs), which is
-/// O(lg n) depth with m+n processors on any model here.
+/// O(lg n) depth with m+n processors on any model here.  Jobs come out in
+/// ascending level; a row's level-k segment starts at f_i with its low
+/// k + 1 bits cleared, right of every higher-level one, so each row's
+/// segments come out in strictly decreasing column order (staircase_opt's
+/// final pick relies on it).
 template <class JobVec>
 void segment_jobs_into(pram::Machine& mach, const std::vector<std::size_t>& f,
                        std::size_t n, JobVec& jobs) {
@@ -241,13 +245,15 @@ std::vector<RowOpt<typename A::value_type>> staircase_opt(
     // start first instead of running alone at the end.  Each job still
     // writes its own slot, and the meter merge is order-free.
     auto order = exec::scratch_vector<std::size_t>(jobs.size());
+    auto predicted = exec::scratch_vector<std::uint64_t>(jobs.size());
     std::uint64_t work = 0;
     for (std::size_t t = 0; t < jobs.size(); ++t) {
       order[t] = t;
-      work += job_work(t);
+      predicted[t] = job_work(t);
+      work += predicted[t];
     }
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      const std::uint64_t wa = job_work(a), wb = job_work(b);
+      const std::uint64_t wa = predicted[a], wb = predicted[b];
       return wa != wb ? wa > wb : a < b;
     });
     mach.parallel_branches(jobs.size(), work, [&](std::size_t t,
@@ -295,24 +301,24 @@ std::vector<RowOpt<typename A::value_type>> staircase_opt(
   }
   const std::span<RowOpt<T>> all_cand(winners.data(), winners.size());
 
-  // Segment winners arrive ordered by level (width), not by column; sort
-  // each row's handful of candidates by column so ties resolve leftmost.
-  // Host cost O(m lg n lg lg n); charged as one comparison step per row
-  // over lg n candidates (each row's candidates fit one processor group).
+  // Each row's candidates must be taken in column order so ties resolve
+  // leftmost; that ordering is charged as lg n steps of one processor
+  // group per row over its <= lg n candidates.  On the host it is free:
+  // winners arrive in job order, which is ascending level, and a row's
+  // lower-level segment lies right of its higher-level ones, so each
+  // row's candidates are in strictly decreasing column order and the
+  // argopt scans them back to front.
   mach.meter().charge(static_cast<std::uint64_t>(lgn), m,
                       static_cast<std::uint64_t>(m) * lgn);
   mach.parallel_branches(m, scan_work(m, lgn), [&](std::size_t i,
                                                    pram::Machine& sub) {
     const auto cand = all_cand.subspan(first[i], first[i + 1] - first[i]);
     if (cand.empty()) return;  // f_i == 0: row stays {inf, kNoCol}
-    std::sort(cand.begin(), cand.end(),
-              [](const RowOpt<T>& a, const RowOpt<T>& b) {
-                return a.col < b.col;
-              });
+    const std::size_t last = cand.size() - 1;
     auto r = pram::argopt<T>(
-        sub, cand.size(), [&](std::size_t t) { return cand[t].value; },
+        sub, cand.size(), [&](std::size_t t) { return cand[last - t].value; },
         [](const T& x, const T& y) { return Minima ? x < y : y < x; });
-    out[i] = cand[r.index];
+    out[i] = cand[last - r.index];
   });
   return out;
 }

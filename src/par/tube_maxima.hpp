@@ -24,10 +24,12 @@
 //    benches report the measured peak).
 //
 // Host execution: the fan-outs run concurrently on the src/exec engine.
-// Every branch writes its own out.at(i, k) cells; the fill phase only
-// *reads* sampled cells (membership-checked, never re-solved), which
-// were fully written by the preceding phase's barrier (parallel_branches
-// returns only when all branches retire), so the phases never race.
+// Every branch writes its own cells (a PerSlice slice its own run of
+// frame scratch, copied into the plane after the join); the fill phase
+// only *reads* sampled cells (membership-checked, never re-solved),
+// which were fully written by the preceding phase's barrier
+// (parallel_branches returns only when all branches retire), so the
+// phases never race.
 #pragma once
 
 #include <algorithm>
@@ -76,25 +78,32 @@ TubePlane<typename D::value_type> tube_per_slice(pram::Machine& mach,
   using T = typename D::value_type;
   const std::size_t p = d.rows(), q = d.cols(), r = e.cols();
   TubePlane<T> out{p, r, std::vector<TubeOpt<T>>(p * r)};
+  // Slice-major results on this frame's scratch: slice k writes its own
+  // p contiguous slots, and the plane is filled after the join, so no two
+  // lanes write one cache line of the row-major plane.
+  exec::ScratchScope scratch;
+  auto slices = exec::scratch_vector<RowOpt<T>>(r * p);
+  const std::span<RowOpt<T>> all(slices.data(), slices.size());
   mach.parallel_branches(r, r * rowmin_work(p, q), [&](std::size_t k,
                                                        pram::Machine& sub) {
     auto fk = monge::make_func_array<T>(
         p, q, [&, k](std::size_t i, std::size_t j) {
           return d(i, j) + e(j, k);
         });
-    // Slice results on the scratch of the thread running this branch.
-    exec::ScratchScope branch_scratch;
-    auto res = exec::scratch_vector<RowOpt<T>>(p);
-    const std::span<RowOpt<T>> rs(res.data(), res.size());
+    const std::span<RowOpt<T>> rs = all.subspan(k * p, p);
     if (Minima) {
       monge_row_minima_into(sub, fk, rs);
     } else {
       monge_row_maxima_into(sub, fk, rs);
     }
     sub.meter().charge(1, p);
-    for (std::size_t i = 0; i < p; ++i) out.at(i, k) = {rs[i].value,
-                                                        rs[i].col};
   });
+  for (std::size_t i = 0; i < p; ++i) {
+    for (std::size_t k = 0; k < r; ++k) {
+      const RowOpt<T>& o = all[k * p + i];
+      out.at(i, k) = {o.value, o.col};
+    }
+  }
   return out;
 }
 

@@ -139,13 +139,18 @@ class Machine {
         cost.add(sub.meter_);
       }
     } else {
-      // Sub-machines on this frame's scratch: each branch writes only its
-      // own slot, and this frame outlives the join.
+      // Each branch charges a sub-machine on its executing thread's
+      // stack and stores the meter once into its own slot of this
+      // frame's scratch, which outlives the join: no two lanes write
+      // one cache line on every charge.
       exec::ScratchScope scratch;
-      auto subs = exec::scratch_vector<Machine>(k, Machine(model_));
-      exec::parallel_for(k, grain,
-                         [&](std::size_t b) { run_branch(b, subs[b]); });
-      for (const Machine& sub : subs) cost.add(sub.meter_);
+      auto meters = exec::scratch_vector<CostMeter>(k);
+      exec::parallel_for(k, grain, [&](std::size_t b) {
+        Machine sub(model_);
+        run_branch(b, sub);
+        meters[b] = sub.meter_;
+      });
+      for (const CostMeter& c : meters) cost.add(c);
     }
     meter_.time += cost.max_time;
     meter_.work += cost.sum_work;

@@ -13,6 +13,8 @@
 //                         round schedule is folded into one charge and
 //                         executed as one pass)
 //   argopt COMBINING      1 step (min/max-combining concurrent write)
+//   argopt_each (k x n)   one argopt's steps, k times its work and
+//                         processors (k argopts side by side)
 //   prefix_scan           2 ceil(lg n) steps, ~4n work (Blelchoch up/down)
 //   scatter_write         1 step, with *real* write-conflict detection
 //   parallel_merge        ceil(lg n) steps (cross-ranking binary search)
@@ -103,19 +105,24 @@ T reduce(Machine& m, std::size_t n, Eval&& eval, Op&& op, T identity) {
 namespace detail {
 
 /// Leftmost argopt of eval(0..n-1), n >= 1.  One chunk (n <= grain) is a
-/// strict-improvement sweep; more fold chunk winners in index order under
-/// the strict total order on (value, index).  Both find the same unique
-/// least element, so ties resolve to the smallest index either way.
+/// strict-improvement sweep written as selects, so a data-dependent
+/// winner costs no branch mispredictions; more fold chunk winners in
+/// index order under the strict total order on (value, index).  Both
+/// find the same unique least element, so ties resolve to the smallest
+/// index either way.
 template <class T, class Eval, class Less>
 OptResult<T> engine_argopt(std::size_t n, const Eval& eval, const Less& less) {
   const std::size_t grain = exec::grain_for(2);
   if (n <= grain) {
-    OptResult<T> best{eval(0), 0};
+    T bv = eval(0);
+    std::size_t bi = 0;
     for (std::size_t i = 1; i < n; ++i) {
-      T v = eval(i);
-      if (less(v, best.value)) best = {std::move(v), i};
+      const T v = eval(i);
+      const bool better = less(v, bv);
+      bv = better ? v : bv;
+      bi = better ? i : bi;
     }
-    return best;
+    return {bv, bi};
   }
   return exec::parallel_reduce(
       n, grain, OptResult<T>{},
@@ -131,8 +138,11 @@ OptResult<T> engine_argopt(std::size_t n, const Eval& eval, const Less& less) {
       });
 }
 
-/// Charge the doubly-logarithmic CRCW argopt round schedule over n
-/// candidates: one load step, then rounds in which candidate set sizes
+}  // namespace detail
+
+/// The charge one argopt of n >= 1 candidates leaves on a fresh meter
+/// under `model` (see argopt).  The CRCW doubly-logarithmic round
+/// schedule: one load step, then rounds in which candidate set sizes
 /// fall as s -> s / g with g = max(2, n / s), reaching 1 in O(lglg n)
 /// rounds while every round uses at most ~2n processors (g^2 per group,
 /// s/g groups => s*g <= 2n).  Each round is one step of all-pairs
@@ -140,19 +150,30 @@ OptResult<T> engine_argopt(std::size_t n, const Eval& eval, const Less& less) {
 /// the unique unmarked processor in each group writes the winner.  The
 /// rounds fold into one charge: steps and ops add, processors take the
 /// max -- exactly what charging them one by one leaves on a meter.
-inline void charge_crcw_argopt(Machine& m, std::size_t n) {
-  std::uint64_t steps = 1, procs = n, ops = n;  // load candidates
-  for (std::size_t s = n; s > 1;) {
-    const std::size_t g = std::min(std::max<std::size_t>(2, n / s), s);
-    steps += 2;
-    procs = std::max<std::uint64_t>(procs, s * g);
-    ops += s * g + s;
-    s = (s + g - 1) / g;
+inline CostMeter argopt_cost(Model model, std::size_t n) {
+  CostMeter c;
+  switch (model) {
+    case Model::CREW:
+      c.charge(static_cast<std::uint64_t>(ceil_lg(n)), (n + 1) / 2, 2 * n);
+      break;
+    case Model::CRCW_COMBINING:
+      c.charge(1, n);
+      break;
+    default: {  // COMMON / ARBITRARY / PRIORITY: doubly-logarithmic
+      std::uint64_t steps = 1, procs = n, ops = n;  // load candidates
+      for (std::size_t s = n; s > 1;) {
+        const std::size_t g = std::min(std::max<std::size_t>(2, n / s), s);
+        steps += 2;
+        procs = std::max<std::uint64_t>(procs, s * g);
+        ops += s * g + s;
+        s = (s + g - 1) / g;
+      }
+      c.charge(steps, procs, ops);
+      break;
+    }
   }
-  m.meter().charge(steps, procs, ops);
+  return c;
 }
-
-}  // namespace detail
 
 /// Parallel argmin over eval(0..n-1) with `less`; leftmost winner on ties.
 /// Depth depends on the machine model:
@@ -165,19 +186,35 @@ inline void charge_crcw_argopt(Machine& m, std::size_t n) {
 template <class T, class Eval, class Less>
 OptResult<T> argopt(Machine& m, std::size_t n, Eval&& eval, Less&& less) {
   if (n == 0) return {};
-  switch (m.model()) {
-    case Model::CREW:
-      m.meter().charge(static_cast<std::uint64_t>(ceil_lg(n)),
-                       (n + 1) / 2, 2 * n);
-      break;
-    case Model::CRCW_COMBINING:
-      m.meter().charge(1, n);
-      break;
-    default:  // COMMON / ARBITRARY / PRIORITY: doubly-logarithmic
-      detail::charge_crcw_argopt(m, n);
-      break;
-  }
+  const CostMeter c = argopt_cost(m.model(), n);
+  m.meter().charge(c.time, c.peak_processors, c.work);
   return detail::engine_argopt<T>(n, eval, less);
+}
+
+/// k independent argopts of n candidates each, side by side: branch b's
+/// leftmost winner over eval(b, 0..n-1) goes to emit(b, OptResult<T>).
+/// Charged as their parallel composition -- the time of one argopt, k
+/// times its work and k times its processors -- which is exactly what
+/// parallel_branches folds from k sub-machines each running argopt, so
+/// the uniform fork is charged once instead of k times.  `work` is the
+/// fork's prediction (never charged): the branches run as one
+/// exec::parallel_tasks fan-out, in place or on the pool exactly as
+/// parallel_branches(k, work, ...) would run them.  emit(b, ...) must
+/// write only branch b's state.
+template <class T, class Eval, class Less, class Emit>
+void argopt_each(Machine& m, std::size_t k, std::size_t n, std::uint64_t work,
+                 Eval&& eval, Less&& less, Emit&& emit) {
+  if (k == 0) return;
+  if (n == 0) {  // k empty argopts: no charge, as argopt(m, 0, ...)
+    for (std::size_t b = 0; b < k; ++b) emit(b, OptResult<T>{});
+    return;
+  }
+  const CostMeter c = argopt_cost(m.model(), n);
+  m.meter().charge(c.time, k * c.peak_processors, k * c.work);
+  exec::parallel_tasks(k, work, [&](std::size_t b) {
+    emit(b, detail::engine_argopt<T>(
+                n, [&](std::size_t i) { return eval(b, i); }, less));
+  });
 }
 
 /// Parallel minimum (value + leftmost index) of a materialized span.

@@ -374,12 +374,13 @@ struct Server::Impl {
         // deliver many framed lines; past the overload valve they are
         // answered exactly like an admission-queue rejection.
         stats.overload_rejected.fetch_add(1, std::memory_order_relaxed);
-        std::int64_t id = serve::kNoId;
+        serve::Request req;
         try {
-          id = serve::parse_request(line).id;
-        } catch (...) {
+          serve::parse_request_into(line, req);
+        } catch (...) {  // refused either way; echo the id if it parsed
         }
-        local_response(conn, serve::make_error_response(id, "overloaded"));
+        local_response(conn,
+                       serve::make_error_response(req.id, "overloaded"));
         continue;
       }
       // Cached-hit fast path, the line's one cache probe: no Completion,

@@ -6,12 +6,17 @@ namespace pmonge::serve {
 
 Request parse_request(const std::string& line) {
   Request req;
+  parse_request_into(line, req);
+  return req;
+}
+
+void parse_request_into(const std::string& line, Request& req) {
   req.body = Json::parse(line);
   if (req.body.type() != Json::Type::Object) {
     throw JsonError("bad_request: request must be a JSON object");
   }
-  req.op = parse_op(req.body.at("op").as_string());
   if (const Json* id = req.body.find("id")) req.id = id->as_int();
+  req.op = parse_op(req.body.at("op").as_string());
   if (const Json* dl = req.body.find("deadline_ms")) {
     req.deadline_ms = dl->as_int();
     if (req.deadline_ms < 0) {
@@ -39,7 +44,6 @@ Request parse_request(const std::string& line) {
     }
     req.signature.push_back('}');
   }
-  return req;
 }
 
 // Handwritten response assembly relies on the sorted-key canonical order:

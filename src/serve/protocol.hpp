@@ -145,10 +145,16 @@ struct Request {
 };
 
 /// Parse one request line; throws JsonError on malformed input (bad
-/// JSON, missing or non-string op).  An unknown op name parses to
-/// Op::Other (the body keeps the name).  Computes the signature for
-/// query ops.
+/// JSON, missing or non-string op, a bad deadline_ms or trace_id).  An
+/// unknown op name parses to Op::Other (the body keeps the name).
+/// Computes the signature for query ops.
 Request parse_request(const std::string& line);
+
+/// parse_request into a fresh `req`.  The id parses first, so when a
+/// later envelope field throws, req.id already holds it and the error
+/// answer can echo it (it stays kNoId when the line is not an object or
+/// its id is not an integer).
+void parse_request_into(const std::string& line, Request& req);
 
 /// Serialize a success / error response (canonical bytes).
 std::string make_ok_response(std::int64_t id, Json result);

@@ -98,14 +98,15 @@ void Service::submit_cb(std::string line, ResponseCallback done) {
 
   Request req;
   try {
-    req = parse_request(line);
+    parse_request_into(line, req);
   } catch (const std::exception& e) {
     metrics_.endpoint(Op::Other).errors.add();
     // Envelope-shape errors arrive pre-categorized as bad_request; only
-    // raw lexer failures get the parse_error category here.
+    // raw lexer failures get the parse_error category here.  An error
+    // after the id parsed echoes it.
     std::string msg = e.what();
     if (!msg.starts_with("bad_request: ")) msg = "parse_error: " + msg;
-    done(make_error_response(kNoId, std::move(msg)));
+    done(make_error_response(req.id, std::move(msg)));
     return;
   }
 

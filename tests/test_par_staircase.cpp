@@ -1,10 +1,14 @@
 // Tests for Theorem 2.3 / Corollary 2.4: parallel staircase-Monge row
 // minima (and the easy maxima direction) against brute force, across
-// models, schedules, shapes and degenerate frontiers; complexity pinning
-// for the Table 1.2 shapes.
+// models, schedules, shapes and degenerate frontiers; the column order of
+// each row's canonical segments; complexity pinning for the Table 1.2
+// shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "monge/brute.hpp"
 #include "monge/generators.hpp"
@@ -139,6 +143,65 @@ TEST(ParStaircaseEdge, StrictlyDecreasingFrontier) {
   Stair s(a, f);
   Machine mach(Model::CRCW_COMMON);
   EXPECT_EQ(staircase_row_minima(mach, s), row_minima_brute(s));
+}
+
+/// Each row's canonical segments, in the order segment_jobs emits them,
+/// must run in strictly decreasing column order and tile [0, f_i)
+/// exactly: staircase_opt's final pick scans them back to front to
+/// resolve ties leftmost.
+void expect_segments_descend(const std::vector<std::size_t>& f,
+                             std::size_t n) {
+  Machine mach(Model::CRCW_COMMON);
+  const auto jobs = detail::segment_jobs(mach, f, n);
+  std::vector<std::vector<detail::SegmentJob>> by_row(f.size());
+  for (const auto& job : jobs) {
+    ASSERT_LT(job.row0, job.row1);
+    ASSERT_LE(job.row1, f.size());
+    ASSERT_EQ(job.width, std::size_t{1} << job.level);
+    for (std::size_t i = job.row0; i < job.row1; ++i) by_row[i].push_back(job);
+  }
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    const auto& segs = by_row[i];
+    const std::string where = "n=" + std::to_string(n) + " row " +
+                              std::to_string(i) + " f=" + std::to_string(f[i]);
+    std::size_t end = f[i];  // the next segment must end where this starts
+    for (std::size_t t = 0; t < segs.size(); ++t) {
+      if (t > 0) {
+        ASSERT_LT(segs[t].col0, segs[t - 1].col0) << where;
+      }
+      ASSERT_EQ(segs[t].col0 + segs[t].width, end) << where;
+      end = segs[t].col0;
+    }
+    ASSERT_EQ(end, 0u) << where;
+  }
+}
+
+TEST(ParStaircaseSegments, EachRowsSegmentsDescendByColumn) {
+  Rng rng(104);
+  for (int t = 0; t < 40; ++t) {
+    const std::size_t m = 1 + static_cast<std::size_t>(rng.uniform_int(0, 80));
+    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 300));
+    std::vector<std::size_t> f(m);
+    for (auto& x : f) {
+      x = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n)));
+    }
+    std::sort(f.rbegin(), f.rend());  // frontiers are non-increasing
+    expect_segments_descend(f, n);
+    expect_segments_descend(random_staircase_monge(m, n, rng).frontier, n);
+  }
+  for (const std::size_t n : {1u, 2u, 7u, 64u, 255u, 256u, 1000u}) {
+    expect_segments_descend(std::vector<std::size_t>(9, n), n);  // all equal
+    expect_segments_descend(std::vector<std::size_t>(9, 0), n);  // all empty
+    std::vector<std::size_t> pow2;  // powers of two, and one less
+    for (std::size_t w = 1; w <= n; w *= 2) pow2.push_back(w);
+    for (std::size_t w = 1; w <= n; w *= 2) pow2.push_back(w - 1);
+    std::sort(pow2.rbegin(), pow2.rend());
+    expect_segments_descend(pow2, n);
+  }
+  expect_segments_descend({1, 1, 0}, 1);  // n = 1
+  expect_segments_descend({1}, 1);
+  expect_segments_descend({0}, 1);
 }
 
 TEST(ParStaircaseCost, MaxParallelDepthIsLg) {

@@ -1,10 +1,14 @@
 // Unit tests for the PRAM simulator: cost metering, model enforcement
-// (CREW conflicts, CRCW-COMMON agreement), primitive correctness and the
-// charged depths of argopt under each submodel.
+// (CREW conflicts, CRCW-COMMON agreement), primitive correctness, the
+// charged depths of argopt under each submodel, and argopt_each's
+// one-charge fork against the fork of argopts it replaces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -224,6 +228,174 @@ TEST(Argopt, CrcwOnePassMatchesRoundByRoundReference) {
       }
     }
   }
+}
+
+constexpr Model kAllModels[] = {Model::CREW, Model::CRCW_COMMON,
+                                Model::CRCW_ARBITRARY, Model::CRCW_PRIORITY,
+                                Model::CRCW_COMBINING};
+
+TEST(ArgoptEach, MatchesForkOfArgopts) {
+  // argopt_each charges k argopts of n candidates once, as their parallel
+  // composition; it must leave exactly what a parallel_branches fork of k
+  // argopt calls leaves -- results and (time, work, peak) -- for every
+  // model, on a fresh meter and on one that already holds a charge (3000
+  // processors outlast k argopts' peak for small k * n and not for large).
+  Rng rng(2026);
+  std::vector<std::int64_t> xs(4099);
+  for (auto& x : xs) x = rng.uniform_int(0, 40);  // ties at every size
+  auto less = [](const std::int64_t& a, const std::int64_t& b) {
+    return a < b;
+  };
+  auto greater = [](const std::int64_t& a, const std::int64_t& b) {
+    return b < a;
+  };
+  auto eval = [&](std::size_t b, std::size_t i) {
+    return xs[(b * 131 + i) % xs.size()];
+  };
+  for (const Model model : kAllModels) {
+    for (const std::size_t k : {0u, 1u, 2u, 3u, 1000u}) {
+      std::vector<OptResult<std::int64_t>> got(k), want(k);
+      for (std::size_t n = 1; n <= 300; ++n) {
+        // The fork's prediction: in place for small forks, chunked on
+        // the pool for large ones, exactly as parallel_branches runs it.
+        const std::uint64_t work = 7 * static_cast<std::uint64_t>(k) * n;
+        for (const bool precharged : {false, true}) {
+          Machine got_m(model), want_m(model);
+          if (precharged) {
+            got_m.meter().charge(5, 3000, 7000);
+            want_m.meter().charge(5, 3000, 7000);
+          }
+          std::fill(got.begin(), got.end(), OptResult<std::int64_t>{});
+          std::fill(want.begin(), want.end(), OptResult<std::int64_t>{});
+          auto run = [&](auto cmp) {
+            argopt_each<std::int64_t>(
+                got_m, k, n, work, eval, cmp,
+                [&](std::size_t b, const OptResult<std::int64_t>& r) {
+                  got[b] = r;
+                });
+            want_m.parallel_branches(k, work, [&](std::size_t b, Machine& sub) {
+              want[b] = argopt<std::int64_t>(
+                  sub, n, [&](std::size_t i) { return eval(b, i); }, cmp);
+            });
+          };
+          const bool maxima = n % 2 == 0;
+          if (maxima) {
+            run(greater);
+          } else {
+            run(less);
+          }
+          const std::string where = std::string(model_name(model)) +
+                                    " k=" + std::to_string(k) +
+                                    " n=" + std::to_string(n) +
+                                    (precharged ? " precharged" : " fresh");
+          for (std::size_t b = 0; b < k; ++b) {
+            ASSERT_EQ(got[b].value, want[b].value) << where << " b=" << b;
+            ASSERT_EQ(got[b].index, want[b].index) << where << " b=" << b;
+          }
+          ASSERT_EQ(got_m.meter().time, want_m.meter().time) << where;
+          ASSERT_EQ(got_m.meter().work, want_m.meter().work) << where;
+          ASSERT_EQ(got_m.meter().peak_processors,
+                    want_m.meter().peak_processors)
+              << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(ArgoptEach, EmptyCandidatesChargeNothing) {
+  for (const Model model : kAllModels) {
+    Machine m(model);
+    std::vector<OptResult<int>> got(3, OptResult<int>{7, 7});
+    argopt_each<int>(
+        m, 3, 0, 0, [](std::size_t, std::size_t) { return 0; },
+        [](int a, int b) { return a < b; },
+        [&](std::size_t b, const OptResult<int>& r) { got[b] = r; });
+    for (const auto& r : got) EXPECT_EQ(r.index, kNoIndex);
+    EXPECT_EQ(m.meter().time, 0u);
+    EXPECT_EQ(m.meter().work, 0u);
+    EXPECT_EQ(m.meter().peak_processors, 0u);
+  }
+}
+
+/// The in-place argopt sweep as a plain branchy loop: leftmost strict
+/// improvement, each candidate evaluated once.
+template <class T, class Less>
+OptResult<T> branchy_argopt(const std::vector<T>& xs, Less less) {
+  OptResult<T> best{xs[0], 0};
+  for (std::size_t i = 1; i < xs.size(); ++i) {
+    if (less(xs[i], best.value)) best = {xs[i], i};
+  }
+  return best;
+}
+
+/// Bitwise equality: tells -0.0 from 0.0 and matches NaN with itself.
+template <class T>
+bool same_bits(const T& a, const T& b) {
+  return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/// Every sweep-sized argopt of `pool`'s prefixes and of random draws from
+/// it, under both comparators and every model, against branchy_argopt.
+template <class T>
+void check_sweep_against_branchy(const std::vector<T>& pool,
+                                 std::uint64_t seed) {
+  auto less = [](const T& a, const T& b) { return a < b; };
+  auto greater = [](const T& a, const T& b) { return b < a; };
+  Rng rng(seed);
+  std::vector<std::vector<T>> cases;
+  for (std::size_t n = 1; n <= pool.size(); ++n) {
+    cases.emplace_back(pool.begin(), pool.begin() + n);
+  }
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<T> xs(1 + static_cast<std::size_t>(rng.uniform_int(0, 63)));
+    for (auto& x : xs) {
+      x = pool[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+    }
+    cases.push_back(std::move(xs));
+  }
+  for (const auto& xs : cases) {
+    const auto eval = [&](std::size_t i) { return xs[i]; };
+    const auto want_min = branchy_argopt(xs, less);
+    const auto want_max = branchy_argopt(xs, greater);
+    for (const Model model : kAllModels) {
+      Machine m(model);
+      const auto got_min = argopt<T>(m, xs.size(), eval, less);
+      const auto got_max = argopt<T>(m, xs.size(), eval, greater);
+      ASSERT_EQ(got_min.index, want_min.index) << model_name(model);
+      ASSERT_TRUE(same_bits(got_min.value, want_min.value));
+      ASSERT_EQ(got_max.index, want_max.index) << model_name(model);
+      ASSERT_TRUE(same_bits(got_max.value, want_max.value));
+    }
+  }
+}
+
+TEST(ArgoptSweep, DoublesMatchBranchyReference) {
+  // Ties, signed zeros (equal under <, so the leftmost must win whatever
+  // its sign), NaNs (never less, never beaten) and infinities.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  check_sweep_against_branchy<double>(
+      {0.0, -0.0, nan, 1.5, -0.0, 0.0, nan, -inf, inf, -2.0, -2.0, 1.5,
+       -inf, nan, 0.0},
+      31);
+  Machine m(Model::CRCW_COMMON);
+  const std::vector<double> zeros = {0.0, -0.0, 0.0};
+  const auto r = min_element_par<double>(m, zeros);
+  EXPECT_EQ(r.index, 0u);
+  EXPECT_FALSE(std::signbit(r.value));
+  const std::vector<double> lead_nan = {nan, 3.0, 1.0};
+  EXPECT_EQ(min_element_par<double>(m, lead_nan).index, 0u);
+  const std::vector<double> mid_nan = {3.0, nan, 1.0, nan};
+  EXPECT_EQ(min_element_par<double>(m, mid_nan).index, 2u);
+}
+
+TEST(ArgoptSweep, Int64ExtremesMatchBranchyReference) {
+  constexpr std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  check_sweep_against_branchy<std::int64_t>(
+      {hi, lo, 0, -1, lo, hi, 1, lo + 1, hi - 1, 0, hi, lo}, 32);
 }
 
 TEST(Scans, ExclusiveScanMatchesSequential) {

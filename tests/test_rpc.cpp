@@ -207,6 +207,23 @@ TEST(RpcServer, ShutdownWriteDrainsThenEof) {
   EXPECT_THROW(c.recv_line(), rpc::RpcError);
 }
 
+TEST(RpcServer, OverloadValveEchoesIdsItParsed) {
+  // With no overload headroom every framed line meets the valve, so the
+  // answers are deterministic: each echoes the id when it parsed, even
+  // when a later envelope field is malformed.
+  rpc::ServerOptions ropts;
+  ropts.limits.overload_inflight = 0;
+  TestServer ts({}, ropts);
+  rpc::Client c = ts.connect();
+  EXPECT_EQ(c.request(R"({"op":"ping","id":1})"),
+            R"({"error":"overloaded","id":1,"ok":false})");
+  EXPECT_EQ(c.request(R"({"op":7,"id":2})"),
+            R"({"error":"overloaded","id":2,"ok":false})");
+  EXPECT_EQ(c.request(R"({"op":"rowmin","id":3,"deadline_ms":-1})"),
+            R"({"error":"overloaded","id":3,"ok":false})");
+  EXPECT_EQ(c.request("not json"), R"({"error":"overloaded","ok":false})");
+}
+
 TEST(RpcServer, MaxConnsRejectsSurplus) {
   rpc::ServerOptions ropts;
   ropts.max_conns = 1;
