@@ -315,21 +315,6 @@ std::int64_t edit_distance_par(pram::Machine& mach, const std::string& x,
   return d(0, n);
 }
 
-std::vector<std::int64_t> edit_distance_par_batch(
-    pram::Machine& mach, const std::vector<EditJob>& jobs) {
-  std::vector<std::int64_t> out(jobs.size());
-  std::uint64_t work = 0;
-  for (const EditJob& job : jobs) {
-    work += job.x.empty() ? 2 * job.y.size()
-                          : dist_work(job.x.size(), job.y.size());
-  }
-  mach.parallel_branches(jobs.size(), work, [&](std::size_t i,
-                                                pram::Machine& sub) {
-    out[i] = edit_distance_par(sub, jobs[i].x, jobs[i].y, jobs[i].costs);
-  });
-  return out;
-}
-
 std::size_t lcs_length_seq(const std::string& x, const std::string& y) {
   const std::size_t m = x.size(), n = y.size();
   std::vector<std::size_t> prev(n + 1, 0), cur(n + 1, 0);

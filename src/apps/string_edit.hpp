@@ -69,19 +69,6 @@ EditResult edit_distance_seq(const std::string& x, const std::string& y,
 std::int64_t edit_distance_par(pram::Machine& mach, const std::string& x,
                                const std::string& y, const EditCosts& costs);
 
-/// One instance of a batched edit-distance run.
-struct EditJob {
-  std::string x, y;
-  EditCosts costs;
-};
-
-/// Batched entry (the serve layer's coalescing hook): solve every
-/// instance as one parallel_branches fan-out on `mach` -- one engine
-/// submission instead of one per call.  Results align with `jobs`; each
-/// equals edit_distance_par on that instance alone.
-std::vector<std::int64_t> edit_distance_par_batch(
-    pram::Machine& mach, const std::vector<EditJob>& jobs);
-
 /// The full DIST matrix of the whole grid (boundary column j on the top
 /// row to boundary column k on the bottom row), exposed for tests; entry
 /// (0, n) is the edit distance.  Infinite region graded as described.

@@ -1,11 +1,12 @@
 // Analytic cost model for the execution planner (src/plan).
 //
-// Every query the serve layer answers has several interchangeable
-// routes to the same bytes: a brute-force scan of exactly the queried
-// cells, the sequential O(m+n)-probe SMAWK solver (monge/smawk.hpp,
+// Every query the serve layer answers has one or more interchangeable
+// routes to the same bytes, and kOpClasses below lists them per op
+// class: a brute-force scan of exactly the queried cells, the
+// sequential O(m+n)-probe SMAWK solver (monge/smawk.hpp,
 // monge/staircase_seq.hpp), or the paper's parallel kernels (src/par)
 // on the simulated PRAM over the host engine.  The planner picks the
-// cheapest by evaluating, per variant, an analytic wall-time prediction
+// cheapest listed route by evaluating an analytic wall-time prediction
 // whose *shape* comes from the paper's bounds --
 //
 //   brute       c_cell * (queried cells)                      (n^2-ish)
@@ -20,44 +21,35 @@
 // deterministic built-in defaults below or a machine profile fitted by
 // plan/calibrate and loaded from JSON (`--profile` / PMONGE_PROFILE).
 // Predictions steer execution strategy and admission only; they never
-// change response bytes (every variant returns the leftmost optimum).
+// change response bytes (every route returns the leftmost optimum).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <span>
 #include <string>
 
 #include "exec/parallel.hpp"
 
 namespace pmonge::plan {
 
-/// Which family of query a shape describes; fixes which cost formulas
-/// apply.  Staircase row searches share RowSearch (the sequential
-/// staircase solver's probe count is also O(m + n)).
+/// Which family of query a shape describes; fixes which routes and
+/// cost formulas apply.  Staircase row searches share RowSearch (the
+/// sequential staircase solver's probe count is also O(m + n)).
 enum class OpClass : std::uint8_t {
   RowSearch,     // rowmin/rowmax/staircase_*: operand m x n, b queried rows
   TubeSearch,    // tubemax/tubemin: rows = p, cols = q (middle), b points
   EditDistance,  // string_edit: rows = |x|, cols = |y|, b jobs
   GeometricApp,  // largest_rect / empty_rect / polygon_neighbors: rows =
-                 // points, b instances (no sequential twin: always parallel)
+                 // points, b instances
   SubmatrixSearch,  // submatrix_min/submatrix_max: operand m x n, b regions
 };
 
-inline const char* op_class_name(OpClass c) {
-  switch (c) {
-    case OpClass::RowSearch: return "row_search";
-    case OpClass::TubeSearch: return "tube_search";
-    case OpClass::EditDistance: return "edit_distance";
-    case OpClass::GeometricApp: return "geometric_app";
-    case OpClass::SubmatrixSearch: return "submatrix_search";
-  }
-  return "?";
-}
-
 /// Algorithm variant a plan selects.
 enum class Algo : std::uint8_t {
-  Brute,       // scan exactly the queried cells
-  Sequential,  // SMAWK / sequential staircase solver / sequential DP
+  Brute,       // scan exactly the queried cells (the DP for string edit)
+  Sequential,  // SMAWK / sequential staircase solver
   Parallel,    // the paper's parallel kernel on the exec engine
 };
 
@@ -68,6 +60,52 @@ inline const char* algo_name(Algo a) {
     case Algo::Parallel: return "parallel";
   }
   return "?";
+}
+
+/// One row of the route table: an op class's wire name and the routes it
+/// has, simplest first.  Each listed route has one predicted_ns formula
+/// and one serve handler.  The planner, fixed dispatch (`--no-plan`: the
+/// last route), the degraded path (Sequential if listed, else the first
+/// route) and the chaos plan rotation choose only among these.
+struct OpClassInfo {
+  OpClass op;
+  const char* name;
+  std::span<const Algo> routes;
+};
+
+inline constexpr Algo kSearchRoutes[] = {Algo::Brute, Algo::Sequential,
+                                         Algo::Parallel};
+// The per-point scan, or par::tube_*_points, which wins at a large middle
+// dimension.
+inline constexpr Algo kTubeRoutes[] = {Algo::Brute, Algo::Parallel};
+// The Wagner-Fischer DP only.  The simulated DIST-matrix composition
+// (apps::edit_distance_par) is a paper bound, not a route: on a 4-vCPU
+// Xeon at 4 lanes it ran 150-3,733x slower than the DP at 32-300
+// characters.
+inline constexpr Algo kEditRoutes[] = {Algo::Brute};
+// The parallel pipelines only: no sequential twin is wired.
+inline constexpr Algo kGeometricRoutes[] = {Algo::Parallel};
+
+/// The route table, indexed by OpClass.
+inline constexpr OpClassInfo kOpClasses[] = {
+    {OpClass::RowSearch, "row_search", kSearchRoutes},
+    {OpClass::TubeSearch, "tube_search", kTubeRoutes},
+    {OpClass::EditDistance, "edit_distance", kEditRoutes},
+    {OpClass::GeometricApp, "geometric_app", kGeometricRoutes},
+    {OpClass::SubmatrixSearch, "submatrix_search", kSearchRoutes},
+};
+
+static_assert(
+    [] {
+      for (std::size_t i = 0; i < std::size(kOpClasses); ++i) {
+        if (static_cast<std::size_t>(kOpClasses[i].op) != i) return false;
+      }
+      return true;
+    }(),
+    "kOpClasses rows must follow OpClass order");
+
+constexpr const OpClassInfo& op_class_info(OpClass c) {
+  return kOpClasses[static_cast<std::size_t>(c)];
 }
 
 /// What a query touches, in the units OpClass defines.  batch is the
@@ -113,9 +151,10 @@ inline double lg2(double x) {
 }  // namespace detail
 
 /// Predicted wall nanoseconds for running `shape` with `algo` under
-/// `prof` on `threads` execution lanes.  Monotone (non-decreasing) in
-/// rows, cols and batch for every variant, so the min over variants is
-/// monotone too.
+/// `prof` on `threads` execution lanes: one formula per route that
+/// kOpClasses lists for the shape's class, infinity for any other.
+/// Monotone (non-decreasing) in rows, cols and batch for every route, so
+/// the min over routes is monotone too.
 inline double predicted_ns(const CostProfile& prof, Algo algo,
                            const QueryShape& shape, std::size_t threads) {
   const double m = static_cast<double>(shape.rows);
@@ -141,35 +180,27 @@ inline double predicted_ns(const CostProfile& prof, Algo algo,
       break;
     case OpClass::TubeSearch:
       switch (algo) {
-        case Algo::Brute:
-        case Algo::Sequential:  // scan the q middle indices per point
+        case Algo::Brute:  // scan the q middle indices per point
           return prof.brute_ns_per_cell * b * n;
         case Algo::Parallel: {  // sampled/bracketed search over the points
           const double work = (b + n) * lgn;
           return prof.par_dispatch_ns + prof.par_depth_ns * lgn * lglgn +
                  prof.par_ns_per_work * work / t;
         }
+        default:
+          break;
       }
       break;
     case OpClass::EditDistance:
-      switch (algo) {
-        case Algo::Brute:
-        case Algo::Sequential:  // the classic DP fills every cell once
-          return prof.edit_ns_per_cell * b * (m + 1) * (n + 1);
-        case Algo::Parallel: {  // DIST-matrix composition: same cells, Brent
-          const double work = b * (m + 1) * (n + 1);
-          return prof.par_dispatch_ns + prof.par_depth_ns * (m + n + 2) +
-                 prof.par_ns_per_work * work / t;
-        }
-      }
-      break;
-    case OpClass::GeometricApp:
-      // No sequential twin is wired; all variants price the parallel run
-      // (n lg n per instance) so the choice degenerates to Parallel.
-      {
-        const double work = b * (m + 2) * detail::lg2(m + 2);
-        return prof.par_dispatch_ns + prof.par_ns_per_work * work / t;
-      }
+      if (algo != Algo::Brute) break;
+      // The classic DP fills every cell once.
+      return prof.edit_ns_per_cell * b * (m + 1) * (n + 1);
+    case OpClass::GeometricApp: {
+      if (algo != Algo::Parallel) break;
+      // The parallel pipeline: n lg n per instance.
+      const double work = b * (m + 2) * detail::lg2(m + 2);
+      return prof.par_dispatch_ns + prof.par_ns_per_work * work / t;
+    }
     case OpClass::SubmatrixSearch:
       switch (algo) {
         case Algo::Brute:  // scan every cell of each queried region
@@ -184,7 +215,7 @@ inline double predicted_ns(const CostProfile& prof, Algo algo,
       }
       break;
   }
-  return 0;
+  return std::numeric_limits<double>::infinity();
 }
 
 /// Predicted wall nanoseconds for answering `shape` through a built

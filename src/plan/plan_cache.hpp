@@ -1,8 +1,8 @@
 // Shape-class plan memoization.
 //
-// Planning a query is cheap but not free (three cost evaluations and a
-// handful of branches), and service traffic concentrates on a small set
-// of operand shapes.  The planner therefore memoizes one Plan per
+// Planning a query is cheap but not free (up to three cost evaluations
+// and a handful of branches), and service traffic concentrates on a
+// small set of operand shapes.  The planner therefore memoizes one Plan per
 // *shape class*: the key quantizes each of rows/cols/batch to its
 // ceil-lg bucket, so e.g. all row searches on operands in (512, 1024]
 // columns share a plan.  Plans are computed at the bucket's power-of-two
@@ -13,8 +13,8 @@
 //
 // The cache is a single mutex-guarded open map: planning sits far off
 // the per-query hot path (one lookup per *group*, not per request), and
-// the key space is tiny (4 ops x ~33^3 buckets), so contention and
-// growth are non-issues.
+// the key space is tiny (5 op classes x ~33^3 buckets), so contention
+// and growth are non-issues.
 #pragma once
 
 #include <cstddef>

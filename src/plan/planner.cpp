@@ -14,22 +14,18 @@ Planner::Planner(CostProfile profile, bool enabled, std::size_t threads)
 
 Plan Planner::plan(const QueryShape& shape) const {
   obs::Span span("plan.select");
-  span.set_detail(op_class_name(shape.op));
-  if (!enabled_) {
-    // Fixed dispatch: the pre-planner behavior, still priced so the
+  span.set_detail(op_class_info(shape.op).name);
+  Plan p;
+  if (enabled_) {
+    p = cache_->get_or_plan(
+        shape, [this](const QueryShape& rep) { return plan_at(rep); });
+  } else {
+    // Fixed dispatch: the class's last route, still priced so the
     // explain op and admission control stay meaningful.
-    Plan p;
-    p.algo = Algo::Parallel;
+    p.algo = op_class_info(shape.op).routes.back();
     p.rep = shape;
-    p.predicted_us =
-        predicted_ns(profile_, Algo::Parallel, shape, threads_) / 1000.0;
-    span.set_arg("predicted_us",
-                 static_cast<std::uint64_t>(std::llround(
-                     p.predicted_us < 0 ? 0.0 : p.predicted_us)));
-    return p;
+    p.predicted_us = predicted_ns(profile_, p.algo, shape, threads_) / 1000.0;
   }
-  Plan p = cache_->get_or_plan(
-      shape, [this](const QueryShape& rep) { return plan_at(rep); });
   span.set_arg("predicted_us",
                static_cast<std::uint64_t>(
                    std::llround(p.predicted_us < 0 ? 0.0 : p.predicted_us)));
@@ -42,33 +38,23 @@ bool Planner::prefer_index(const QueryShape& shape) const {
 }
 
 Plan Planner::plan_at(const QueryShape& rep) const {
+  // The cheapest of the class's routes.  They are listed simplest first
+  // and only a strictly cheaper one replaces the incumbent, so ties break
+  // toward the simpler route and the plan is a deterministic function of
+  // (profile, shape class, threads).
+  const std::span<const Algo> routes = op_class_info(rep.op).routes;
   Plan p;
   p.rep = rep;
-
-  if (rep.op == OpClass::GeometricApp) {
-    // Only the parallel pipeline is wired for the geometric apps.
-    p.algo = Algo::Parallel;
-  } else {
-    const double brute = predicted_ns(profile_, Algo::Brute, rep, threads_);
-    const double seq = predicted_ns(profile_, Algo::Sequential, rep, threads_);
-    const double par = predicted_ns(profile_, Algo::Parallel, rep, threads_);
-    // Ties break toward the simpler variant: brute beats sequential
-    // beats parallel at equal predicted cost.  The order of comparison
-    // is fixed so the plan is a deterministic function of (profile,
-    // shape class, threads).
-    p.algo = Algo::Brute;
-    double best = brute;
-    if (seq < best) {
-      p.algo = Algo::Sequential;
-      best = seq;
-    }
-    if (par < best) {
-      p.algo = Algo::Parallel;
-      best = par;
+  p.algo = routes.front();
+  double best = predicted_ns(profile_, p.algo, rep, threads_);
+  for (const Algo a : routes.subspan(1)) {
+    const double ns = predicted_ns(profile_, a, rep, threads_);
+    if (ns < best) {
+      p.algo = a;
+      best = ns;
     }
   }
-
-  p.predicted_us = predicted_ns(profile_, p.algo, rep, threads_) / 1000.0;
+  p.predicted_us = best / 1000.0;
   return p;
 }
 

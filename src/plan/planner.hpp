@@ -1,18 +1,19 @@
 // The execution planner: per-query algorithm selection.
 //
 // Given what a query touches (a QueryShape), the Planner evaluates the
-// cost model for every admissible variant and returns the cheapest as a
-// Plan {algo, predicted cost}.  The serve batcher executes the group
-// with the plan's algorithm (all variants produce the same
-// leftmost-optimum bytes); Service::submit uses predicted_us to reject
-// requests whose deadline is unmeetable before they enter the engine.
-// How a parallel plan splits across the host pool is not the planner's
-// call: the exec engine's fork rule decides that per fork, from the
-// kernel's own work prediction.
+// cost model for each route its op class lists (kOpClasses in
+// cost_model.hpp) and returns the cheapest as a Plan {algo, predicted
+// cost}.  The serve batcher executes the group with the plan's
+// algorithm (all routes produce the same leftmost-optimum bytes);
+// Service::submit uses predicted_us to reject requests whose deadline is
+// unmeetable before they enter the engine.  How a parallel plan splits
+// across the host pool is not the planner's call: the exec engine's fork
+// rule decides that per fork, from the kernel's own work prediction.
 //
-// A disabled planner (--no-plan) always answers Parallel -- exactly the
-// pre-planner fixed dispatch -- which is what the
-// bit-identity tests compare against.
+// A disabled planner (--no-plan) always answers the class's last route
+// -- the paper's parallel kernel for the searches and geometric apps,
+// the DP for string edit -- which is what the bit-identity tests compare
+// against.
 #pragma once
 
 #include <cstddef>
@@ -25,7 +26,7 @@ namespace pmonge::plan {
 
 class Planner {
  public:
-  /// threads = execution lanes the parallel variant may assume
+  /// threads = execution lanes the parallel route may assume
   /// (exec::num_threads() of the serving process).
   Planner(CostProfile profile, bool enabled, std::size_t threads);
 

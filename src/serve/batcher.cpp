@@ -372,42 +372,25 @@ void run_tube_group(std::vector<Member>& members,
   }
 }
 
-void run_edit_group(std::vector<Member>& members, pram::Model model,
-                    ServiceMetrics& metrics, const plan::Plan& pl) {
-  std::vector<apps::EditJob> jobs;
-  std::vector<Member*> live;
+/// String edit has one route, the Wagner-Fischer DP (plan/cost_model.hpp).
+void run_edit_group(std::vector<Member>& members) {
+  obs::Span kspan("serve.kernel");
+  kspan.set_detail(plan::algo_name(plan::Algo::Brute));
   for (Member& m : members) {
     try {
-      apps::EditJob job;
-      job.x = m.req->body.at("x").as_string();
-      job.y = m.req->body.at("y").as_string();
-      job.costs.ins = int_field_or(m.req->body, "ins", 1);
-      job.costs.del = int_field_or(m.req->body, "del", 1);
-      job.costs.sub = int_field_or(m.req->body, "sub", 1);
-      jobs.push_back(std::move(job));
-      live.push_back(&m);
+      const Json& b = m.req->body;
+      apps::EditCosts costs;
+      costs.ins = int_field_or(b, "ins", 1);
+      costs.del = int_field_or(b, "del", 1);
+      costs.sub = int_field_or(b, "sub", 1);
+      Json::Obj o;
+      o["cost"] = apps::edit_distance_seq(b.at("x").as_string(),
+                                          b.at("y").as_string(), costs)
+                      .cost;
+      set_ok(*m.out, Json(std::move(o)));
     } catch (const JsonError& e) {
       set_error(*m.out, e.what());
     }
-  }
-  if (live.empty()) return;
-  obs::Span kspan("serve.kernel");
-  kspan.set_detail(plan::algo_name(pl.algo));
-  std::vector<std::int64_t> costs;
-  if (pl.algo != plan::Algo::Parallel) {
-    costs.reserve(jobs.size());
-    for (const apps::EditJob& job : jobs) {
-      costs.push_back(apps::edit_distance_seq(job.x, job.y, job.costs).cost);
-    }
-  } else {
-    pram::Machine mach(model);
-    costs = apps::edit_distance_par_batch(mach, jobs);
-    charge(metrics, mach, kspan);
-  }
-  for (std::size_t t = 0; t < live.size(); ++t) {
-    Json::Obj o;
-    o["cost"] = costs[t];
-    set_ok(*live[t]->out, Json(std::move(o)));
   }
 }
 
@@ -592,22 +575,25 @@ plan::QueryShape query_shape(const Request& req, Registry& reg) {
 plan::Plan Batcher::plan_for(const plan::QueryShape& shape,
                              bool degraded) const {
   plan::Plan pl = planner_.plan(shape);
+  const std::span<const plan::Algo> routes =
+      plan::op_class_info(shape.op).routes;
   if (degraded) {
-    // The degradation contract: sequential-SMAWK under a SerialScope
-    // never touches the pool, and returns the same leftmost-optimum
-    // bytes as every other variant.
-    pl.algo = plan::Algo::Sequential;
+    // The degradation contract: the class's sequential route if it has
+    // one, else its first, under a SerialScope never touches the pool,
+    // and returns the same leftmost-optimum bytes as every other route.
+    pl.algo = std::find(routes.begin(), routes.end(),
+                        plan::Algo::Sequential) != routes.end()
+                  ? plan::Algo::Sequential
+                  : routes.front();
     return pl;
   }
   if (fault::armed() && fault::should_fire(fault::Site::PlanCorruptPlan)) {
-    // Rotate to a different variant.  Byte-identity across variants is
+    // Rotate to the class's next route.  Byte-identity across routes is
     // exactly the invariant the chaos harness checks, so a "corrupted"
     // plan may cost time but can never change a response.
-    switch (pl.algo) {
-      case plan::Algo::Brute: pl.algo = plan::Algo::Sequential; break;
-      case plan::Algo::Sequential: pl.algo = plan::Algo::Parallel; break;
-      case plan::Algo::Parallel: pl.algo = plan::Algo::Brute; break;
-    }
+    const std::size_t i = static_cast<std::size_t>(
+        std::find(routes.begin(), routes.end(), pl.algo) - routes.begin());
+    pl.algo = routes[(i + 1) % routes.size()];
   }
   return pl;
 }
@@ -779,7 +765,7 @@ void Batcher::dispatch_group_once(std::vector<Member>& ms, bool degraded) {
                        metrics_, pl);
         break;
       case Op::StringEdit:
-        run_edit_group(ms, model_, metrics_, pl);
+        run_edit_group(ms);
         break;
       case Op::LargestRect:
         run_largest_rect_group(ms, model_, metrics_);
@@ -839,7 +825,7 @@ void Batcher::run_explain(const Request& req, BatchOutcome& out) {
       1000.0;
 
   Json::Obj shape_o;
-  shape_o["op_class"] = plan::op_class_name(shape.op);
+  shape_o["op_class"] = plan::op_class_info(shape.op).name;
   shape_o["rows"] = static_cast<std::int64_t>(shape.rows);
   shape_o["cols"] = static_cast<std::int64_t>(shape.cols);
   shape_o["batch"] = static_cast<std::int64_t>(shape.batch);

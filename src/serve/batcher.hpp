@@ -10,17 +10,18 @@
 //     Theorem-2.3 view;
 //   * tube point queries group by (d, e) pair and share per-slice row
 //     searches (par/tube_maxima.hpp's *_points entry points);
-//   * application queries (string_edit, largest_rect, empty_rect,
+//   * geometric application queries (largest_rect, empty_rect,
 //     polygon_neighbors) group by op and fan out as parallel branches of
-//     one Machine.
+//     one Machine; string_edit groups run the DP once per pair.
 // All groups of a batch are then pushed into the exec engine as ONE
 // submission (exec::parallel_jobs).
 //
 // Planning: each group consults the execution planner (src/plan) for the
-// cheapest variant -- a brute scan of exactly the queried cells, the
-// sequential SMAWK-family solver, or the parallel kernel.  All variants return the leftmost optimum, so the
-// chosen algorithm is invisible in the response bytes; a disabled
-// planner reproduces the old fixed parallel dispatch exactly.
+// cheapest of its op class's routes (kOpClasses, plan/cost_model.hpp) --
+// a brute scan of exactly the queried cells, the sequential SMAWK-family
+// solver, or the parallel kernel.  All routes return the leftmost
+// optimum, so the chosen algorithm is invisible in the response bytes; a
+// disabled planner takes each class's last route.
 //
 // Correctness contract: outcome[i] depends only on request i -- never on
 // what else shared its batch, which profile is loaded, or what the plan

@@ -131,8 +131,8 @@ int main(int argc, char** argv) {
         "  --profile PATH   load a calibrated cost profile (JSON); the\n"
         "                   PMONGE_PROFILE env var is equivalent, the flag\n"
         "                   wins; default: the deterministic built-in\n"
-        "  --no-plan        disable the execution planner (fixed parallel\n"
-        "                   dispatch, no deadline_unmeetable admission)\n"
+        "  --no-plan        disable the execution planner (each op class's\n"
+        "                   last route, no deadline_unmeetable admission)\n"
         "  --calibrate PATH run the calibration microbenchmarks, write the\n"
         "                   fitted profile to PATH, and exit\n"
         "  --trace-out PATH enable span tracing (as if PMONGE_TRACE=1) and\n"

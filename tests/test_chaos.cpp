@@ -282,6 +282,33 @@ TEST_F(ChaosTest, BreakerDegradesAndRecovers) {
   EXPECT_EQ(ep->find("degraded")->as_int(), 10);
 }
 
+TEST_F(ChaosTest, CorruptPlanRotatesOnlyAmongTheClassRoutes) {
+  // 100% plan.corrupt_plan: every group runs its class's next route.  A
+  // small tube search rotates from the brute scan to the parallel kernel
+  // (tube has no sequential route); a string edit stays on the DP, its
+  // only route.  The bytes match a fault-free service either way.
+  ServiceOptions opts;
+  opts.cache_capacity = 0;
+  Service faulty(opts);
+  Service plain(opts);
+  for (Service* s : {&faulty, &plain}) {
+    register_random(*s, "monge", 6, 5, 3);  // tube d
+    register_random(*s, "monge", 5, 7, 4);  // tube e
+  }
+  for (const char* line : {R"({"op":"tubemax","d":0,"e":1,"i":2,"k":3})",
+                           R"({"op":"string_edit","x":"kitten","y":"sit"})"}) {
+    fault::arm(13, 10000, 1u << static_cast<std::uint32_t>(
+                              fault::Site::PlanCorruptPlan));
+    const std::string got = faulty.request(line);
+    fault::disarm();
+    EXPECT_EQ(got, plain.request(line)) << line;
+  }
+  const Json stats = Json::parse(faulty.request(R"({"op":"stats"})"));
+  EXPECT_EQ(section_int(stats, "plans", "brute"), 1);  // the edit
+  EXPECT_EQ(section_int(stats, "plans", "sequential"), 0);
+  EXPECT_EQ(section_int(stats, "plans", "parallel"), 1);  // the tube
+}
+
 // ---------------------------------------------------------------------------
 // The soak
 // ---------------------------------------------------------------------------

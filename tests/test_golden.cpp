@@ -18,9 +18,10 @@
 //   > <json>         submit one request line
 //   < <bytes>        await the next response (FIFO); must match EXACTLY,
 //                    mismatches report the first differing byte offset
-//   ~ <regex>        await the next response; must regex-match in full
-//                    (for explain / deadline_unmeetable, whose payloads
-//                    embed measured or predicted timings)
+//   ~ <regex>        await the next response; a POSIX extended regex
+//                    that must match it in full (golden_match.hpp; for
+//                    explain / deadline_unmeetable, whose payloads embed
+//                    measured or predicted timings)
 //
 // Every `<` expectation is machine-independent by the serve layer's
 // determinism contract; anything timing-dependent must use `~`.
@@ -36,11 +37,11 @@
 #include <fstream>
 #include <future>
 #include <memory>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "golden_match.hpp"
 #include "serve/service.hpp"
 
 namespace pmonge {
@@ -171,7 +172,7 @@ TEST_P(Golden, TranscriptMatches) {
     } else if (line.rfind("~ ", 0) == 0) {
       const std::string pattern = line.substr(2);
       const std::string got = next_response();
-      EXPECT_TRUE(std::regex_match(got, std::regex(pattern)))
+      EXPECT_TRUE(golden::full_match(got, pattern))
           << file << ":" << lineno << ": response does not match /" << pattern
           << "/\n  got: " << got;
       out_lines.push_back(line);
@@ -191,6 +192,19 @@ TEST_P(Golden, TranscriptMatches) {
     ADD_FAILURE() << file << ": regenerated by PMONGE_GOLDEN_REGEN=1 -- "
                      "review the diff and rerun without the flag";
   }
+}
+
+TEST(GoldenMatch, SpansA64KiBLine) {
+  // Multi-KB answers (stats, trace) are what a `~` line must be able to
+  // pin loosely; a per-character recursion dies on them.
+  const std::string line = R"({"id":1,"ok":true,"result":{"text":")" +
+                           std::string(64 * 1024, 'x') + R"("}})";
+  EXPECT_TRUE(
+      golden::full_match(line, R"(\{"id":1,"ok":true,"result":\{.*\}\})"));
+  EXPECT_TRUE(golden::full_match(line, R"(.*"text":"x+"\}\})"));
+  // Anchored at both ends.
+  EXPECT_FALSE(golden::full_match(line, R"(.*"text":"x+"\})"));
+  EXPECT_FALSE(golden::full_match(line, R"("text":"x+"\}\})"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Transcripts, Golden,

@@ -5,12 +5,14 @@
 // rule's kappa and the cost-model crossovers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <future>
 #include <string>
 #include <vector>
 
+#include "apps/string_edit.hpp"
 #include "exec/thread_pool.hpp"
 #include "par/monge_rowminima.hpp"
 #include "plan/calibrate.hpp"
@@ -19,6 +21,7 @@
 #include "plan/planner.hpp"
 #include "serve/json.hpp"
 #include "serve/service.hpp"
+#include "support/rng.hpp"
 
 namespace pmonge::plan {
 namespace {
@@ -27,14 +30,11 @@ namespace {
 // Cost model
 // ---------------------------------------------------------------------------
 
-const OpClass kOps[] = {OpClass::RowSearch, OpClass::TubeSearch,
-                        OpClass::EditDistance, OpClass::GeometricApp};
-const Algo kAlgos[] = {Algo::Brute, Algo::Sequential, Algo::Parallel};
-
 TEST(CostModel, MonotoneInEveryShapeDimension) {
   const CostProfile prof = builtin_profile();
-  for (const OpClass op : kOps) {
-    for (const Algo algo : kAlgos) {
+  for (const OpClassInfo& cls : kOpClasses) {
+    const OpClass op = cls.op;
+    for (const Algo algo : cls.routes) {
       for (std::size_t t : {std::size_t{1}, std::size_t{8}}) {
         double prev_rows = -1, prev_cols = -1, prev_batch = -1;
         for (std::size_t k = 0; k <= 20; ++k) {
@@ -45,12 +45,12 @@ TEST(CostModel, MonotoneInEveryShapeDimension) {
               predicted_ns(prof, algo, {op, 256, s, 4}, t);
           const double by_batch =
               predicted_ns(prof, algo, {op, 256, 256, s}, t);
-          EXPECT_GE(by_rows, prev_rows) << op_class_name(op) << "/"
+          EXPECT_GE(by_rows, prev_rows) << cls.name << "/"
                                         << algo_name(algo) << " rows=" << s;
-          EXPECT_GE(by_cols, prev_cols) << op_class_name(op) << "/"
+          EXPECT_GE(by_cols, prev_cols) << cls.name << "/"
                                         << algo_name(algo) << " cols=" << s;
           EXPECT_GE(by_batch, prev_batch)
-              << op_class_name(op) << "/" << algo_name(algo) << " batch=" << s;
+              << cls.name << "/" << algo_name(algo) << " batch=" << s;
           prev_rows = by_rows;
           prev_cols = by_cols;
           prev_batch = by_batch;
@@ -78,12 +78,74 @@ TEST(CostModel, BuiltinCrossoversAreSane) {
 // Planner + plan cache
 // ---------------------------------------------------------------------------
 
-TEST(Planner, DisabledPlannerIsTheFixedParallelDispatch) {
+TEST(Planner, DisabledPlannerIsEachClassLastRoute) {
   const Planner p(builtin_profile(), /*enabled=*/false, 8);
-  for (const OpClass op : kOps) {
-    const Plan pl = p.plan({op, 8, 8, 1});
-    EXPECT_EQ(pl.algo, Algo::Parallel);
+  for (const OpClassInfo& cls : kOpClasses) {
+    const Plan pl = p.plan({cls.op, 8, 8, 1});
+    EXPECT_EQ(pl.algo, cls.routes.back()) << cls.name;
+    EXPECT_EQ(pl.algo, cls.op == OpClass::EditDistance ? Algo::Brute
+                                                       : Algo::Parallel)
+        << cls.name;
   }
+}
+
+/// A profile under which the parallel route wins wherever it is listed.
+CostProfile force_parallel_profile() {
+  CostProfile prof = builtin_profile();
+  prof.id = "force-parallel";
+  prof.par_dispatch_ns = 0;
+  prof.par_ns_per_work = 1e-6;
+  prof.par_depth_ns = 0;
+  return prof;
+}
+
+TEST(Planner, ParallelRouteReachableExactlyWhereListed) {
+  const Planner p(force_parallel_profile(), true, 4);
+  for (const OpClassInfo& cls : kOpClasses) {
+    const bool listed = std::find(cls.routes.begin(), cls.routes.end(),
+                                  Algo::Parallel) != cls.routes.end();
+    EXPECT_EQ(p.plan({cls.op, 4096, 4096, 64}).algo == Algo::Parallel,
+              listed)
+        << cls.name;
+  }
+}
+
+TEST(Planner, StringEditNeverPlansParallel) {
+  // The simulated DIST-matrix composition is orders of magnitude slower
+  // than the DP at every probed shape, so no profile, lane count or
+  // planner setting may route an edit to it.
+  const CostProfile profiles[] = {
+      builtin_profile(),
+      load_profile(std::string(PMONGE_SOURCE_DIR) +
+                   "/profiles/sample_profile.json"),
+      force_parallel_profile()};
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 16; n <= 4096; n *= 2) {
+    lengths.push_back(n);
+    if (n < 4096) lengths.push_back(n + n / 2 + 1);
+  }
+  std::size_t plans = 0;
+  for (const CostProfile& prof : profiles) {
+    for (const bool enabled : {true, false}) {
+      for (const std::size_t lanes : {1, 2, 4, 8}) {
+        const Planner p(prof, enabled, lanes);
+        for (const std::size_t x : lengths) {
+          for (const std::size_t y : lengths) {
+            for (std::size_t b = 1; b <= 64; b *= 2) {
+              const Plan pl = p.plan({OpClass::EditDistance, x, y, b});
+              ++plans;
+              ASSERT_EQ(pl.algo, Algo::Brute)
+                  << prof.id << (enabled ? " planner on" : " planner off")
+                  << " lanes=" << lanes << " |x|=" << x << " |y|=" << y
+                  << " batch=" << b;
+              EXPECT_GT(pl.predicted_us, 0);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(plans, 3u * 2 * 4 * lengths.size() * lengths.size() * 7);
 }
 
 TEST(Planner, MemoizesPerShapeClass) {
@@ -120,13 +182,13 @@ TEST(Planner, PredictedCostMonotoneInOperandSize) {
   // The admission number must grow (weakly) with the operand, per op
   // class -- quantized planning must not invert sizes.
   const Planner p(builtin_profile(), true, 8);
-  for (const OpClass op : kOps) {
+  for (const OpClassInfo& cls : kOpClasses) {
     double prev = -1;
     for (std::size_t k = 0; k <= 14; ++k) {
       const std::size_t n = std::size_t{1} << k;
-      const double us = p.predicted_us({op, n, n, 1});
-      EXPECT_GE(us, prev) << op_class_name(op) << " n=" << n;
-      EXPECT_GT(us, 0) << op_class_name(op) << " n=" << n;
+      const double us = p.predicted_us({cls.op, n, n, 1});
+      EXPECT_GE(us, prev) << cls.name << " n=" << n;
+      EXPECT_GT(us, 0) << cls.name << " n=" << n;
       prev = us;
     }
   }
@@ -307,6 +369,61 @@ TEST(Explain, RejectsMalformedWrappers) {
   EXPECT_NE(svc.request(R"({"op":"explain","query":{"op":"stats"}})")
                 .find("bad_request"),
             std::string::npos);
+}
+
+TEST(Explain, StringEditPlansTheDpAtFourLanes) {
+  // On a 4-vCPU Xeon at 4 lanes the simulated DIST-matrix composition
+  // took 0.7-0.9 s on one 300-character pair and 0.34-0.43 s on eight
+  // coalesced 128-character pairs; the DP answers both in about 3 ms.
+  ThreadGuard tg;
+  exec::set_num_threads(4);
+  Service svc;
+  Rng rng(22);
+  const auto text = [&rng](std::size_t n) {
+    std::string s;
+    for (std::size_t i = 0; i < n; ++i) {
+      s += static_cast<char>('a' + rng.uniform_int(0, 3));
+    }
+    return s;
+  };
+  Json::Obj q;
+  q["op"] = "string_edit";
+  q["x"] = text(300);
+  q["y"] = text(300);
+  Json::Obj ex;
+  ex["op"] = "explain";
+  ex["query"] = Json(std::move(q));
+  const std::string resp = svc.request(Json(std::move(ex)).dump());
+  const Json j = Json::parse(resp);
+  ASSERT_TRUE(j.at("ok").as_bool()) << resp;
+  EXPECT_EQ(j.at("result").at("plan").at("algo").as_string(), "brute")
+      << resp;
+
+  std::vector<std::string> want;
+  std::vector<std::future<std::string>> got;
+  svc.pause();  // the eight pairs coalesce into one group
+  for (std::int64_t k = 0; k < 8; ++k) {
+    const std::string x = text(128);
+    const std::string y = text(128);
+    Json::Obj o;
+    o["op"] = "string_edit";
+    o["id"] = k;
+    o["x"] = x;
+    o["y"] = y;
+    got.push_back(svc.submit(Json(std::move(o)).dump()));
+    want.push_back(R"({"id":)" + std::to_string(k) +
+                   R"(,"ok":true,"result":{"cost":)" +
+                   std::to_string(apps::edit_distance_seq(x, y, {}).cost) +
+                   "}}");
+  }
+  svc.resume();
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k].get(), want[k]);
+  }
+  const Json plans =
+      Json::parse(svc.request(R"({"op":"stats"})")).at("result").at("plans");
+  EXPECT_EQ(plans.at("parallel").as_int(), 0);
+  EXPECT_EQ(plans.at("brute").as_int(), 2);  // explain's run and the group
 }
 
 // ---------------------------------------------------------------------------

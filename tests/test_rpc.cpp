@@ -20,13 +20,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "fault/fault.hpp"
+#include "golden_match.hpp"
 #include "obs/prometheus.hpp"
 #include "rpc/client.hpp"
 #include "rpc/framing.hpp"
@@ -356,7 +356,7 @@ TEST_P(GoldenOverTcp, TranscriptMatchesOverSocket) {
       EXPECT_EQ(c.recv_line(), want) << GetParam() << ":" << lineno;
     } else if (line.rfind("~ ", 0) == 0) {
       const std::string got = c.recv_line();
-      EXPECT_TRUE(std::regex_match(got, std::regex(line.substr(2))))
+      EXPECT_TRUE(golden::full_match(got, line.substr(2)))
           << GetParam() << ":" << lineno << "\n  got: " << got;
     } else {
       FAIL() << GetParam() << ":" << lineno
