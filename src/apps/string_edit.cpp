@@ -73,6 +73,29 @@ EditResult edit_distance_seq(const std::string& x, const std::string& y,
   return res;
 }
 
+std::int64_t edit_distance_cost(const std::string& x, const std::string& y,
+                                const EditCosts& costs) {
+  // row[j] holds dp(i, j) for the row being filled left of j and dp(i-1, j)
+  // from j on; `diag` carries dp(i-1, j-1) across the overwrite.
+  const std::size_t n = y.size();
+  std::vector<std::int64_t> row(n + 1, 0);
+  for (std::size_t j = 1; j <= n; ++j) {
+    row[j] = row[j - 1] + costs.insert_cost(y[j - 1]);
+  }
+  for (const char xc : x) {
+    const std::int64_t del = costs.delete_cost(xc);
+    std::int64_t diag = row[0];
+    row[0] += del;
+    for (std::size_t j = 1; j <= n; ++j) {
+      const std::int64_t up = row[j];
+      row[j] = std::min({up + del, row[j - 1] + costs.insert_cost(y[j - 1]),
+                         diag + costs.substitute_cost(xc, y[j - 1])});
+      diag = up;
+    }
+  }
+  return row[n];
+}
+
 std::int64_t evaluate_script(const std::string& x, const std::string& y,
                              const std::vector<EditOp>& script,
                              const EditCosts& costs) {

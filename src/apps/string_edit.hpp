@@ -63,6 +63,12 @@ struct EditResult {
 EditResult edit_distance_seq(const std::string& x, const std::string& y,
                              const EditCosts& costs);
 
+/// The same DP's cost alone: one rolling row, O(mn) time and O(|y|)
+/// memory, no script.  Equals edit_distance_seq(x, y, costs).cost; the
+/// serve path answers string_edit with it.
+std::int64_t edit_distance_cost(const std::string& x, const std::string& y,
+                                const EditCosts& costs);
+
 /// Parallel grid-DAG algorithm on the simulated PRAM: strip DIST matrices
 /// merged by tube minima.  Returns the optimal cost; the machine's meter
 /// carries the charged parallel depth/work.

@@ -297,7 +297,10 @@ std::string prometheus_text(const Json& stats) {
            {"admitted", "pmonge_queue_admitted_total",
             "Requests admitted to the queue", "counter"},
            {"overloaded", "pmonge_queue_overloaded_total",
-            "Requests rejected by the queue", "counter"}});
+            "Requests rejected by the queue", "counter"},
+           {"inline", "pmonge_queue_inline_total",
+            "Queries answered on the submitting thread, never queued",
+            "counter"}});
 
   section(w, stats.find("registry"),
           {{"arrays", "pmonge_registry_arrays", "Registered arrays",

@@ -77,14 +77,14 @@ CostProfile calibrate() {
     prof.seq_ns_per_probe = std::max(0.5, ns / static_cast<double>(2 * n));
   }
 
-  // Edit DP: one cell of the Wagner-Fischer recurrence.
+  // Edit DP: one cell of the Wagner-Fischer recurrence, as served (cost
+  // only, one rolling row).
   {
     const std::size_t n = 256;
     const std::string x(n, 'a'), y(n, 'b');
     volatile std::int64_t sink = 0;
     const double ns = best_ns(3, [&] {
-      auto r = apps::edit_distance_seq(x, y, apps::EditCosts{});
-      sink = r.cost;
+      sink = apps::edit_distance_cost(x, y, apps::EditCosts{});
     });
     prof.edit_ns_per_cell = std::max(0.2, ns / static_cast<double>(n * n));
   }

@@ -89,6 +89,9 @@ struct Wakeup {
   }
 };
 
+/// The Wakeup of the event loop running on this thread, if any.
+thread_local const Wakeup* t_loop_wakeup = nullptr;
+
 /// The std::function a submitted line resolves through.  Copyable (the
 /// service keeps a copy to answer `overloaded` on a full queue).
 struct Completion {
@@ -99,6 +102,10 @@ struct Completion {
   void operator()(std::string resp) const {
     slot->resp = std::move(resp);
     slot->ready.store(true, std::memory_order_release);
+    // Answered on the loop thread itself (control ops, rejections,
+    // queries run inline): it can only be inside handle_readable's
+    // submit_cb, which pumps the connection next, so no wake-up.
+    if (t_loop_wakeup == wake.get()) return;
     if (!conn->queued.exchange(true, std::memory_order_acq_rel)) {
       {
         std::lock_guard<std::mutex> lock(wake->mu);
@@ -201,6 +208,10 @@ struct Server::Impl {
   // -- event loop ----------------------------------------------------------
 
   void run() {
+    struct OnLoopThread {
+      explicit OnLoopThread(const Wakeup* w) { t_loop_wakeup = w; }
+      ~OnLoopThread() { t_loop_wakeup = nullptr; }
+    } on_loop(wakeup.get());
     std::vector<epoll_event> events(128);
     while (true) {
       if (stop_requested.load(std::memory_order_acquire) && !draining) {
@@ -354,6 +365,8 @@ struct Server::Impl {
     conn->last_active = Clock::now();
     conn->framer.feed(buf, static_cast<std::size_t>(k));
 
+    // One inline grant for every line this read framed.
+    serve::InlineAllowance allowance;
     std::string line;
     while (true) {
       const LineFramer::Result r = conn->framer.next(line);
@@ -400,7 +413,7 @@ struct Server::Impl {
       auto slot = std::make_shared<Slot>();
       conn->pending.push_back(slot);
       service.submit_cb(std::move(line),
-                        Completion{wakeup, conn, std::move(slot)});
+                        Completion{wakeup, conn, std::move(slot)}, allowance);
     }
     pump(conn);
   }

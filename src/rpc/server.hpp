@@ -5,11 +5,14 @@
 // -- the server only frames lines in and writes the service's canonical
 // response strings out, in per-connection submission order.
 //
-// One thread runs the event loop (run()); the service's worker resolves
-// responses on its own thread and wakes the loop through an eventfd.
-// Everything per-connection (read buffer, pending-response window,
-// outbound buffer) is touched only by the loop thread; the completion
-// path touches one atomic per response plus the wakeup queue.
+// One thread runs the event loop (run()).  Each read grants the lines it
+// framed one serve::InlineAllowance, so control ops and cheap queries
+// that find the admission queue idle are answered on the loop thread
+// itself; the service's worker resolves the queued rest on its own
+// thread and wakes the loop through an eventfd.  Everything
+// per-connection (read buffer, pending-response window, outbound buffer)
+// is touched only by the loop thread; the worker's completion path
+// touches one atomic per response plus the wakeup queue.
 //
 // Robustness contract (docs/networking.md):
 //   * per-connection backpressure per rpc/backpressure.hpp -- stop

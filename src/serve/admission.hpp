@@ -101,6 +101,13 @@ class AdmissionQueue {
     cv_.notify_all();
   }
 
+  /// Empty, not paused and not stopped: nothing a new item would wait
+  /// behind.  A snapshot; another producer may push right after.
+  bool idle() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return q_.empty() && !paused_ && !stopped_;
+  }
+
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return q_.size();

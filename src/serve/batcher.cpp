@@ -372,7 +372,9 @@ void run_tube_group(std::vector<Member>& members,
   }
 }
 
-/// String edit has one route, the Wagner-Fischer DP (plan/cost_model.hpp).
+/// String edit has one route, the Wagner-Fischer DP (plan/cost_model.hpp),
+/// run for its cost alone in one rolling row: a request's memory grows
+/// with |y|, not with |x| * |y|.
 void run_edit_group(std::vector<Member>& members) {
   obs::Span kspan("serve.kernel");
   kspan.set_detail(plan::algo_name(plan::Algo::Brute));
@@ -384,9 +386,8 @@ void run_edit_group(std::vector<Member>& members) {
       costs.del = int_field_or(b, "del", 1);
       costs.sub = int_field_or(b, "sub", 1);
       Json::Obj o;
-      o["cost"] = apps::edit_distance_seq(b.at("x").as_string(),
-                                          b.at("y").as_string(), costs)
-                      .cost;
+      o["cost"] = apps::edit_distance_cost(b.at("x").as_string(),
+                                           b.at("y").as_string(), costs);
       set_ok(*m.out, Json(std::move(o)));
     } catch (const JsonError& e) {
       set_error(*m.out, e.what());

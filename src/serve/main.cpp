@@ -351,11 +351,14 @@ int main(int argc, char** argv) {
         item.is_ready = true;
       } else {
         // A miss: submit_cb, since submit() would probe the cache again.
+        // Each line is one inline grant.
         auto answer = std::make_shared<std::promise<std::string>>();
         item.fut = answer->get_future();
-        service.submit_cb(std::move(line), [answer](std::string resp) {
-          answer->set_value(std::move(resp));
-        });
+        pmonge::serve::InlineAllowance allowance;
+        service.submit_cb(
+            std::move(line),
+            [answer](std::string resp) { answer->set_value(std::move(resp)); },
+            allowance);
       }
       {
         std::lock_guard<std::mutex> lock(mu);

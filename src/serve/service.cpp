@@ -93,7 +93,8 @@ bool Service::try_serve_fast(std::string_view line, std::string& out) {
   return true;
 }
 
-void Service::submit_cb(std::string line, ResponseCallback done) {
+void Service::submit_cb(std::string line, ResponseCallback done,
+                        InlineAllowance& allowance) {
   obs::Span span("serve.admit");
 
   Request req;
@@ -158,6 +159,10 @@ void Service::submit_cb(std::string line, ResponseCallback done) {
       return;
     }
   }
+  if (runs_inline(req, deadline_ms, allowance)) {
+    answer_inline(req, done);
+    return;
+  }
   // Admission jitter site: a seeded pre-enqueue sleep that shuffles
   // arrival order.  Response bytes never depend on batch composition, so
   // this can only move latency, never answers.
@@ -176,6 +181,64 @@ void Service::submit_cb(std::string line, ResponseCallback done) {
   em.requests.add();
 }
 
+bool Service::runs_inline(const Request& req, std::int64_t deadline_ms,
+                          InlineAllowance& allowance) {
+  // The queued path stays where it adds something: a deadline can expire
+  // in the queue, explain times a worker run, tracing and armed faults
+  // hook the worker's stages, and a non-idle queue holds earlier lines
+  // (or a paused worker) that this one must not overtake.
+  if (deadline_ms >= 0 || req.op == Op::Explain || obs::enabled() ||
+      fault::armed() || !queue_->idle()) {
+    return false;
+  }
+  return allowance.take(planner_.predicted_us(query_shape(req, registry_)));
+}
+
+void Service::answer_inline(const Request& req, const ResponseCallback& done) {
+  // A batch of one on the calling thread: the same batcher, cache pass
+  // and response bytes as a worker batch, minus the two thread hand-offs.
+  // Not a worker batch, so `batches` and `batch_size` do not count it.
+  const auto t0 = ServeClock::now();
+  metrics_.endpoint(req.op).requests.add();
+  inline_answered_.add();
+  const std::vector<BatchOutcome> out = run_batch({&req, 1}, {});
+  std::string resp;
+  respond(req, out[0], t0, resp);
+  done(std::move(resp));
+}
+
+std::vector<BatchOutcome> Service::run_batch(
+    std::span<const Request> reqs,
+    std::span<const ServeClock::time_point> deadlines) {
+  try {
+    return batcher_.run(reqs, deadlines);
+  } catch (const std::exception& e) {
+    // The batcher's contract is to never throw; if something slips
+    // through anyway, answer the batch instead of killing the thread that
+    // ran it (for the one worker, that would hang every later request).
+    std::vector<BatchOutcome> out(reqs.size());
+    for (auto& o : out) o.error = std::string("internal: ") + e.what();
+    return out;
+  }
+}
+
+ServeClock::time_point Service::respond(const Request& r,
+                                        const BatchOutcome& o,
+                                        ServeClock::time_point since,
+                                        std::string& resp) {
+  EndpointMetrics& em = metrics_.endpoint(r.op);
+  if (o.ok) {
+    em.ok.add();
+    append_ok_response_raw(r.id, o.result, resp);
+  } else {
+    em.errors.add();
+    append_error_response(r.id, o.error, resp);
+  }
+  const auto done = ServeClock::now();
+  em.latency_us.record(us_between(since, done));
+  return done;
+}
+
 std::future<std::string> Service::submit(std::string line) {
   // Cached-hit fast path: answered inline on the submitting thread,
   // exactly like control ops and admission rejections already are.
@@ -187,8 +250,11 @@ std::future<std::string> Service::submit(std::string line) {
   }
   auto promise = std::make_shared<std::promise<std::string>>();
   std::future<std::string> fut = promise->get_future();
-  submit_cb(std::move(line),
-            [promise](std::string resp) { promise->set_value(std::move(resp)); });
+  InlineAllowance allowance;
+  submit_cb(
+      std::move(line),
+      [promise](std::string resp) { promise->set_value(std::move(resp)); },
+      allowance);
   return fut;
 }
 
@@ -284,34 +350,15 @@ void Service::worker_loop() {
       reqs.push_back(std::move(batch[i].item.req));
       deadlines.push_back(batch[i].deadline);
     }
-    std::vector<BatchOutcome> outcomes;
-    try {
-      outcomes = batcher_.run(reqs, deadlines);
-    } catch (const std::exception& e) {
-      // The batcher's contract is to never throw; if something slips
-      // through anyway, answer the batch instead of killing the one
-      // worker thread (which would hang every future submission).
-      outcomes.assign(reqs.size(), BatchOutcome{});
-      for (auto& o : outcomes) o.error = std::string("internal: ") + e.what();
-    }
+    const std::vector<BatchOutcome> outcomes = run_batch(reqs, deadlines);
 
     std::vector<std::string> responses;
     responses.reserve(outcomes.size());
     for (std::size_t t = 0; t < outcomes.size(); ++t) {
-      const auto& slot = batch[live_idx[t]];
-      const Request& r = reqs[t];
-      EndpointMetrics& em = metrics_.endpoint(r.op);
-      std::string& resp = responses.emplace_back();
-      if (outcomes[t].ok) {
-        em.ok.add();
-        append_ok_response_raw(r.id, outcomes[t].result, resp);
-      } else {
-        em.errors.add();
-        append_error_response(r.id, outcomes[t].error, resp);
-      }
-      const auto done = ServeClock::now();
-      em.latency_us.record(us_between(slot.enqueued, done));
-      if (traced) req_spans.push_back(request_span(r, slot.enqueued, done));
+      const auto enqueued = batch[live_idx[t]].enqueued;
+      const auto done = respond(reqs[t], outcomes[t], enqueued,
+                                responses.emplace_back());
+      if (traced) req_spans.push_back(request_span(reqs[t], enqueued, done));
     }
     // Spans land before callbacks resolve: a client that saw its answer
     // can immediately `trace` and find its serve.request span.
@@ -619,6 +666,7 @@ Json Service::stats_json() const {
   queue["high_water"] = queue_->high_water();
   queue["admitted"] = queue_->admitted();
   queue["overloaded"] = queue_->overloaded();
+  queue["inline"] = inline_answered_.value();
   out["queue"] = Json(std::move(queue));
   Json::Obj reg;
   reg["arrays"] = registry_.count();

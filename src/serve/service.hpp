@@ -8,8 +8,12 @@
 //
 //   submit(line) --cached hit?  answered inline (try_serve_fast)
 //       \-> submit_cb --parse--> control op?  handled synchronously
-//                       \-> query op --> AdmissionQueue (bounded; full =>
-//                            immediate `overloaded` rejection)
+//                       \-> query op --> queue idle, no deadline, not
+//                            explain, tracing off, faults disarmed, and
+//                            priced within the read's InlineAllowance?
+//                            Batcher runs it alone on the calling thread
+//                            \-> else AdmissionQueue (bounded; full =>
+//                                 immediate `overloaded` rejection)
 //   worker thread:  pop_batch(batch_max) --> expired deadlines answered
 //                   `deadline_expired` --> Batcher coalesces the rest into
 //                   engine runs --> promises fulfilled
@@ -33,6 +37,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -50,6 +55,30 @@
 #include "serve/registry.hpp"
 
 namespace pmonge::serve {
+
+/// Predicted work, in the planner's microseconds, that a front-end may
+/// run on its own thread per grant: one grant per read of the rpc loop
+/// (covering every line that read framed), per stdin line and per
+/// Service::submit call.  While nothing is queued, a query priced within
+/// what is left of its grant skips the hand-off to the worker; the rest
+/// queue and coalesce.  burst_mix prices each line at <= 31 us, so a
+/// read of its eight lines runs inline, while a 600-character string
+/// edit (priced at its 1,024-character plan bucket, about 3.2 ms) always
+/// goes to the worker.  It also bounds how long one read can hold the
+/// rpc loop.
+inline constexpr double kInlineAllowanceUs = 250.0;
+
+/// What is left of one grant of kInlineAllowanceUs.
+struct InlineAllowance {
+  double left_us = kInlineAllowanceUs;
+
+  /// Spend `us` if it fits in what is left.
+  bool take(double us) {
+    if (!(us <= left_us)) return false;
+    left_us -= us;
+    return true;
+  }
+};
 
 struct ServiceOptions {
   std::size_t queue_capacity = 1024;  // admission bound
@@ -80,21 +109,28 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   /// A response consumer.  Invoked exactly once per submitted line --
-  /// on the submitting thread for control ops and rejections, on the
-  /// worker thread for query ops.  Must be copyable (the service keeps
-  /// a copy across the admission hand-off) and must not throw.
+  /// on the submitting thread, before submit_cb returns, for control
+  /// ops, rejections and queries answered inline; on the worker thread
+  /// for queued queries.  Must be copyable (the service keeps a copy
+  /// across the admission hand-off) and must not throw.
   using ResponseCallback = std::function<void(std::string)>;
 
   /// Submit one request line, callback form: the transport front-ends'
   /// entry point for lines try_serve_fast did not answer (each front-end
   /// probes the cache once per line itself, so this does not probe it
-  /// again).  Thread-safe.
-  void submit_cb(std::string line, ResponseCallback done);
+  /// again).  A query runs inline on the calling thread, charged to
+  /// `allowance`, when the admission queue is idle (empty, not paused,
+  /// not stopped), it carries no deadline and is not `explain`, tracing
+  /// is off, faults are disarmed, and the planner's price for it fits
+  /// what is left of `allowance`; otherwise it queues.  Thread-safe.
+  void submit_cb(std::string line, ResponseCallback done,
+                 InlineAllowance& allowance);
 
-  /// Submit one request line: try_serve_fast, then submit_cb.  Cached
-  /// hits and control ops resolve before returning; other query ops
-  /// resolve when the worker answers (immediately with `overloaded` if
-  /// the admission queue is full).  Thread-safe.
+  /// Submit one request line under a grant of its own: try_serve_fast,
+  /// then submit_cb.  Cached hits, control ops and queries answered
+  /// inline resolve before returning; queued query ops resolve when the
+  /// worker answers (immediately with `overloaded` if the admission
+  /// queue is full).  Thread-safe.
   std::future<std::string> submit(std::string line);
 
   /// Synchronous single request.
@@ -136,6 +172,15 @@ class Service {
   std::string handle_control(const Request& req);
   Json stats_json() const;
   void worker_loop();
+  bool runs_inline(const Request& req, std::int64_t deadline_ms,
+                   InlineAllowance& allowance);
+  void answer_inline(const Request& req, const ResponseCallback& done);
+  std::vector<BatchOutcome> run_batch(
+      std::span<const Request> reqs,
+      std::span<const ServeClock::time_point> deadlines);
+  ServeClock::time_point respond(const Request& r, const BatchOutcome& o,
+                                 ServeClock::time_point since,
+                                 std::string& resp);
 
   ServiceOptions opts_;
   Registry registry_;
@@ -145,6 +190,7 @@ class Service {
   index::IndexManager indexes_;  // before batcher_: passed by reference
   Batcher batcher_;
   std::unique_ptr<AdmissionQueue<Pending>> queue_;
+  support::Counter inline_answered_;  // queries run by runs_inline's rule
   mutable std::mutex extra_stats_mu_;
   std::vector<std::pair<std::string, std::function<Json()>>> extra_stats_;
   std::chrono::steady_clock::time_point start_;  // for stats uptime_ms

@@ -241,6 +241,41 @@ TEST(StringEdit, ScriptsAreValidAndCostConsistent) {
   }
 }
 
+TEST(StringEdit, CostOnlyDpMatchesSequential) {
+  // The serve path's rolling-row DP against the full table's cost: empty
+  // strings, unit and non-unit ins/del/sub, and per-symbol tables.
+  EditCosts unit;
+  EXPECT_EQ(edit_distance_cost("", "", unit), 0);
+  EXPECT_EQ(edit_distance_cost("", "abc", unit), 3);
+  EXPECT_EQ(edit_distance_cost("abc", "", unit), 3);
+  EXPECT_EQ(edit_distance_cost("kitten", "sitting", unit), 3);
+  Rng rng(45);
+  for (int t = 0; t < 200; ++t) {
+    const auto x = random_string(
+        static_cast<std::size_t>(rng.uniform_int(0, 40)), 4, rng);
+    const auto y = random_string(
+        static_cast<std::size_t>(rng.uniform_int(0, 40)), 4, rng);
+    EditCosts costs;
+    if (t % 4 != 0) {
+      costs.ins = rng.uniform_int(0, 7);
+      costs.del = rng.uniform_int(0, 7);
+      costs.sub = rng.uniform_int(0, 15);
+    }
+    if (t % 5 == 0) {
+      costs.ins_table.assign(256, 1);
+      costs.del_table.assign(256, 1);
+      for (int c = 0; c < 256; ++c) {
+        costs.ins_table[static_cast<std::size_t>(c)] = 1 + (c % 4);
+        costs.del_table[static_cast<std::size_t>(c)] = 2 + (c % 3);
+      }
+    }
+    EXPECT_EQ(edit_distance_cost(x, y, costs),
+              edit_distance_seq(x, y, costs).cost)
+        << "\"" << x << "\" -> \"" << y << "\" ins=" << costs.ins
+        << " del=" << costs.del << " sub=" << costs.sub;
+  }
+}
+
 TEST(StringEdit, ParallelMatchesSequentialRandom) {
   Rng rng(42);
   for (int t = 0; t < 15; ++t) {

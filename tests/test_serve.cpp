@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <memory>
 #include <future>
 #include <string>
 #include <thread>
@@ -13,9 +15,12 @@
 
 #include "apps/string_edit.hpp"
 #include "exec/thread_pool.hpp"
+#include "fault/fault.hpp"
 #include "monge/brute.hpp"
 #include "monge/generators.hpp"
+#include "obs/trace.hpp"
 #include "plan/cost_model.hpp"
+#include "plan/planner.hpp"
 #include "serve/admission.hpp"
 #include "serve/cache.hpp"
 #include "serve/json.hpp"
@@ -556,6 +561,241 @@ TEST(Service, StatsReportsCountersAndQueue) {
   EXPECT_EQ(stats.at("registry").at("arrays").as_int(), 1);
   EXPECT_EQ(stats.at("queue").at("capacity").as_int(), 1024);
   EXPECT_GE(stats.at("charged").at("work").as_int(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Inline rule: a cheap query on an idle queue runs on the submitting thread
+// ---------------------------------------------------------------------------
+
+/// One submit_cb, observed: where its answer ran and whether it had
+/// arrived before submit_cb returned.
+struct Probe {
+  std::atomic<bool> fired{false};
+  std::thread::id thread;  // written before `fired` and the promise
+  std::promise<std::string> answer;
+  std::future<std::string> fut = answer.get_future();
+  bool before_return = false;
+};
+
+std::shared_ptr<Probe> probe_submit(Service& svc, const std::string& line,
+                                    InlineAllowance& allowance) {
+  auto p = std::make_shared<Probe>();
+  svc.submit_cb(
+      line,
+      [p](std::string resp) {
+        p->thread = std::this_thread::get_id();
+        p->fired.store(true, std::memory_order_release);
+        p->answer.set_value(std::move(resp));
+      },
+      allowance);
+  p->before_return = p->fired.load(std::memory_order_acquire);
+  return p;
+}
+
+Json stats_of(Service& svc) {
+  return Json::parse(svc.request(R"({"op":"stats"})")).at("result");
+}
+
+std::int64_t inline_count(Service& svc) {
+  return stats_of(svc).at("queue").at("inline").as_int();
+}
+
+std::string edit_line(std::size_t len, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string x(len, 'a'), y(len, 'a');
+  for (char& c : x) c = static_cast<char>('a' + rng.uniform_int(0, 3));
+  for (char& c : y) c = static_cast<char>('a' + rng.uniform_int(0, 3));
+  return R"({"op":"string_edit","x":")" + x + R"(","y":")" + y + "\"}";
+}
+
+/// A default Service's price of one len x len string edit, in us: the
+/// planner prices the power-of-two bucket the shape falls in.
+double edit_price_us(std::size_t len) {
+  const plan::Planner planner(plan::builtin_profile(), true,
+                              exec::num_threads());
+  return planner.predicted_us(
+      plan::QueryShape{plan::OpClass::EditDistance, len, len, 1});
+}
+
+TEST(InlineRule, IdleQueueAnswersACheapQueryBeforeSubmitCbReturns) {
+  Service svc;
+  reg_random(svc, 64, 64, 3);
+  const std::string q = R"({"op":"rowmin","id":7,"array":0,"row":5})";
+  InlineAllowance allowance;
+  const auto p = probe_submit(svc, q, allowance);
+  EXPECT_TRUE(p->before_return);
+  const std::string resp = p->fut.get();
+  EXPECT_EQ(p->thread, std::this_thread::get_id());
+  EXPECT_LT(allowance.left_us, kInlineAllowanceUs);  // charged its price
+  const Json st = stats_of(svc);
+  EXPECT_EQ(st.at("queue").at("inline").as_int(), 1);
+  EXPECT_EQ(st.at("queue").at("admitted").as_int(), 0);
+  EXPECT_EQ(st.at("batches").at("count").as_int(), 0);  // not a worker batch
+  EXPECT_EQ(st.at("endpoints").at("rowmin").at("requests").as_int(), 1);
+  EXPECT_EQ(st.at("endpoints").at("rowmin").at("ok").as_int(), 1);
+
+  // The same bytes as the queued path (a paused service queues).
+  Service queued;
+  reg_random(queued, 64, 64, 3);
+  queued.pause();
+  auto fut = queued.submit(q);
+  queued.resume();
+  EXPECT_EQ(resp, fut.get());
+  EXPECT_EQ(inline_count(queued), 0);
+}
+
+TEST(InlineRule, WorkPricedAboveTheAllowanceRunsOnTheWorker) {
+  Service svc;
+  // A 600-character edit is priced at its 1,024-character bucket, about
+  // 3.2 ms.
+  ASSERT_GT(edit_price_us(600), kInlineAllowanceUs);
+  const std::string line = edit_line(600, 11);
+  InlineAllowance allowance;
+  const auto p = probe_submit(svc, line, allowance);
+  const std::string resp = p->fut.get();
+  EXPECT_NE(p->thread, std::this_thread::get_id());
+  EXPECT_EQ(allowance.left_us, kInlineAllowanceUs);  // nothing spent
+  const Json req = Json::parse(line);
+  EXPECT_EQ(result_int(resp, "cost"),
+            apps::edit_distance_seq(req.at("x").as_string(),
+                                    req.at("y").as_string(),
+                                    apps::EditCosts{})
+                .cost);
+  const Json st = stats_of(svc);
+  EXPECT_EQ(st.at("queue").at("inline").as_int(), 0);
+  EXPECT_EQ(st.at("queue").at("admitted").as_int(), 1);
+  EXPECT_EQ(st.at("batches").at("count").as_int(), 1);
+}
+
+TEST(InlineRule, PauseTracingFaultsDeadlinesAndExplainQueue) {
+  const std::string cheap = R"({"op":"rowmin","array":0,"row":1})";
+  // Each case answers on the worker and leaves the allowance untouched.
+  const auto expect_queued = [](Service& svc, const std::string& line,
+                                const char* why) {
+    InlineAllowance allowance;
+    const auto p = probe_submit(svc, line, allowance);
+    const std::string resp = p->fut.get();
+    EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << why << resp;
+    EXPECT_NE(p->thread, std::this_thread::get_id()) << why;
+    EXPECT_EQ(allowance.left_us, kInlineAllowanceUs) << why;
+  };
+  {
+    Service svc;
+    reg_random(svc, 16, 16, 2);
+    svc.pause();
+    InlineAllowance allowance;
+    const auto p = probe_submit(svc, cheap, allowance);
+    EXPECT_FALSE(p->before_return);
+    EXPECT_EQ(allowance.left_us, kInlineAllowanceUs);
+    svc.resume();
+    p->fut.get();
+    EXPECT_NE(p->thread, std::this_thread::get_id());
+    EXPECT_EQ(inline_count(svc), 0);
+  }
+  {
+    Service svc;
+    reg_random(svc, 16, 16, 2);
+    obs::set_enabled(true);
+    expect_queued(svc, cheap, "tracing: ");
+    obs::set_enabled(false);
+    obs::reset();
+    fault::arm(1, 0);  // armed, never fires
+    expect_queued(svc, R"({"op":"rowmin","array":0,"row":2})", "faults: ");
+    fault::disarm();
+    expect_queued(
+        svc, R"({"op":"rowmin","array":0,"row":3,"deadline_ms":60000})",
+        "deadline_ms: ");
+    expect_queued(
+        svc, R"({"op":"explain","query":{"op":"rowmin","array":0,"row":4}})",
+        "explain: ");
+    EXPECT_EQ(inline_count(svc), 0);
+  }
+  {
+    ServiceOptions opts;
+    opts.default_deadline_ms = 60000;  // a deadline the request inherits
+    Service svc(opts);
+    reg_random(svc, 16, 16, 2);
+    expect_queued(svc, cheap, "default deadline: ");
+    EXPECT_EQ(inline_count(svc), 0);
+  }
+}
+
+TEST(InlineRule, OneReadInlinesOnlyThePrefixItsAllowanceCovers) {
+  // Twelve lines of one read share a grant.  Each 99-character edit is
+  // priced at its 128-character bucket, about 50 us, so the first
+  // floor(allowance / price) run inline, in order; the line that no
+  // longer fits and everything after it queue.
+  constexpr std::size_t kLines = 12;
+  const double price = edit_price_us(99);
+  const auto prefix =
+      static_cast<std::size_t>(std::floor(kInlineAllowanceUs / price));
+  ASSERT_GT(prefix, 0u);
+  ASSERT_LT(prefix, kLines);
+  Service svc;
+  InlineAllowance allowance;
+  std::vector<std::shared_ptr<Probe>> probes;
+  for (std::size_t i = 0; i < kLines; ++i) {
+    probes.push_back(probe_submit(svc, edit_line(99, 100 + i), allowance));
+  }
+  for (std::size_t i = 0; i < kLines; ++i) {
+    const std::string resp = probes[i]->fut.get();
+    EXPECT_NE(resp.find("\"ok\":true"), std::string::npos) << resp;
+    if (i < prefix) {
+      EXPECT_TRUE(probes[i]->before_return) << "line " << i;
+      EXPECT_EQ(probes[i]->thread, std::this_thread::get_id()) << "line " << i;
+    } else {
+      EXPECT_NE(probes[i]->thread, std::this_thread::get_id()) << "line " << i;
+    }
+  }
+  EXPECT_EQ(inline_count(svc), static_cast<std::int64_t>(prefix));
+  EXPECT_NEAR(allowance.left_us,
+              kInlineAllowanceUs - static_cast<double>(prefix) * price, 1e-9);
+}
+
+TEST(InlineRule, InlineAndWorkerRunsOverlapWithConsistentAnswers) {
+  // Cheap row queries run inline on four submitting threads while long
+  // edits keep the worker busy, so the batcher runs on both at once
+  // (TSan runs this at PMONGE_THREADS=8).
+  ThreadGuard tg;
+  exec::set_num_threads(8);
+  Service svc;
+  reg_random(svc, 32, 32, 9);
+  Rng rng(9);
+  const auto a = monge::random_monge(32, 32, rng);
+  const auto expect = monge::row_minima_brute(a);
+  std::atomic<int> bad{0};
+  std::vector<std::thread> ts;
+  ts.emplace_back([&svc, &bad] {
+    for (std::uint64_t i = 0; i < 6; ++i) {
+      const std::string line = edit_line(300, 200 + i);
+      const Json req = Json::parse(line);
+      const std::int64_t want =
+          apps::edit_distance_seq(req.at("x").as_string(),
+                                  req.at("y").as_string(), apps::EditCosts{})
+              .cost;
+      const Json j = Json::parse(svc.request(line));
+      if (!j.at("ok").as_bool() || j.at("result").at("cost").as_int() != want) {
+        bad.fetch_add(1);
+      }
+    }
+  });
+  for (int t = 0; t < 4; ++t) {
+    ts.emplace_back([&svc, &expect, &bad, t] {
+      for (int i = 0; i < 48; ++i) {
+        const std::size_t row = static_cast<std::size_t>((t * 7 + i) % 32);
+        const Json j = Json::parse(svc.request(
+            R"({"op":"rowmin","array":0,"row":)" + std::to_string(row) + "}"));
+        if (!j.at("ok").as_bool() ||
+            j.at("result").at("value").as_int() != expect[row].value) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : ts) th.join();
+  EXPECT_EQ(bad.load(), 0);
+  const Json st = stats_of(svc);
+  EXPECT_GE(st.at("batches").at("count").as_int(), 6);  // every edit queued
 }
 
 TEST(Service, RegisterValidateRejectsNonMonge) {
