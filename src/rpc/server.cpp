@@ -129,6 +129,7 @@ struct Server::Impl {
   std::uint16_t bound_port = 0;
   std::unordered_map<int, std::shared_ptr<Conn>> conns;
   std::atomic<bool> stop_requested{false};
+  serve::IdleBank idle;  // waits in epoll_wait fund inline grants
   bool draining = false;
   Clock::time_point drain_deadline{};
 
@@ -237,9 +238,11 @@ struct Server::Impl {
             std::max<std::int64_t>(0, std::min<std::int64_t>(50,
                                                              left.count())));
       }
+      const auto wait_from = Clock::now();
       const int n =
           ::epoll_wait(ep, events.data(), static_cast<int>(events.size()),
                        timeout_ms);
+      idle.waited(wait_from, Clock::now());
       if (n < 0) {
         if (errno == EINTR) continue;
         break;
@@ -365,8 +368,9 @@ struct Server::Impl {
     conn->last_active = Clock::now();
     conn->framer.feed(buf, static_cast<std::size_t>(k));
 
-    // One inline grant for every line this read framed.
-    serve::InlineAllowance allowance;
+    // One inline grant for every line this read framed, while the idle
+    // bank lasts.
+    serve::InlineAllowance allowance = idle.grant(conn->last_active);
     std::string line;
     while (true) {
       const LineFramer::Result r = conn->framer.next(line);

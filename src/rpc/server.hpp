@@ -5,11 +5,13 @@
 // -- the server only frames lines in and writes the service's canonical
 // response strings out, in per-connection submission order.
 //
-// One thread runs the event loop (run()).  Each read grants the lines it
-// framed one serve::InlineAllowance, so control ops and cheap queries
-// that find the admission queue idle are answered on the loop thread
-// itself; the service's worker resolves the queued rest on its own
-// thread and wakes the loop through an eventfd.  Everything
+// One thread runs the event loop (run()).  Control ops are answered on
+// the loop thread itself, and so are cheap queries that find the
+// admission queue idle: each read grants the lines it framed one
+// serve::InlineAllowance while the loop's serve::IdleBank (time waiting
+// in epoll_wait minus time busy) lasts.  The service's worker resolves
+// the queued rest on its own thread and wakes the loop through an
+// eventfd.  Everything
 // per-connection (read buffer, pending-response window, outbound buffer)
 // is touched only by the loop thread; the worker's completion path
 // touches one atomic per response plus the wakeup queue.

@@ -327,7 +327,12 @@ int main(int argc, char** argv) {
 
   std::thread reader([&] {
     std::string line;
-    while (std::getline(std::cin, line)) {
+    pmonge::serve::IdleBank idle;  // time blocked in getline funds grants
+    while (true) {
+      const auto wait_from = pmonge::serve::ServeClock::now();
+      if (!std::getline(std::cin, line)) break;
+      const auto read_at = pmonge::serve::ServeClock::now();
+      idle.waited(wait_from, read_at);
       if (line.empty()) continue;
       limiter.acquire();
       lines_in.fetch_add(1, std::memory_order_relaxed);
@@ -351,10 +356,10 @@ int main(int argc, char** argv) {
         item.is_ready = true;
       } else {
         // A miss: submit_cb, since submit() would probe the cache again.
-        // Each line is one inline grant.
+        // Each line is one inline grant while the idle bank lasts.
         auto answer = std::make_shared<std::promise<std::string>>();
         item.fut = answer->get_future();
-        pmonge::serve::InlineAllowance allowance;
+        pmonge::serve::InlineAllowance allowance = idle.grant(read_at);
         service.submit_cb(
             std::move(line),
             [answer](std::string resp) { answer->set_value(std::move(resp)); },

@@ -186,9 +186,11 @@ bool Service::runs_inline(const Request& req, std::int64_t deadline_ms,
   // The queued path stays where it adds something: a deadline can expire
   // in the queue, explain times a worker run, tracing and armed faults
   // hook the worker's stages, and a non-idle queue holds earlier lines
-  // (or a paused worker) that this one must not overtake.
-  if (deadline_ms >= 0 || req.op == Op::Explain || obs::enabled() ||
-      fault::armed() || !queue_->idle()) {
+  // (or a paused worker) that this one must not overtake.  An empty
+  // grant (a busy front-end) is checked first, so a loaded front-end
+  // neither locks the queue nor prices the query.
+  if (allowance.left_us <= 0 || deadline_ms >= 0 || req.op == Op::Explain ||
+      obs::enabled() || fault::armed() || !queue_->idle()) {
     return false;
   }
   return allowance.take(planner_.predicted_us(query_shape(req, registry_)));

@@ -10,8 +10,10 @@
 //       \-> submit_cb --parse--> control op?  handled synchronously
 //                       \-> query op --> queue idle, no deadline, not
 //                            explain, tracing off, faults disarmed, and
-//                            priced within the read's InlineAllowance?
-//                            Batcher runs it alone on the calling thread
+//                            priced within the read's InlineAllowance
+//                            (empty once the front-end's IdleBank is
+//                            spent)?  Batcher runs it alone on the
+//                            calling thread
 //                            \-> else AdmissionQueue (bounded; full =>
 //                                 immediate `overloaded` rejection)
 //   worker thread:  pop_batch(batch_max) --> expired deadlines answered
@@ -31,6 +33,7 @@
 // enters the queue or the engine.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -58,15 +61,23 @@ namespace pmonge::serve {
 
 /// Predicted work, in the planner's microseconds, that a front-end may
 /// run on its own thread per grant: one grant per read of the rpc loop
-/// (covering every line that read framed), per stdin line and per
-/// Service::submit call.  While nothing is queued, a query priced within
-/// what is left of its grant skips the hand-off to the worker; the rest
-/// queue and coalesce.  burst_mix prices each line at <= 31 us, so a
-/// read of its eight lines runs inline, while a 600-character string
-/// edit (priced at its 1,024-character plan bucket, about 3.2 ms) always
-/// goes to the worker.  It also bounds how long one read can hold the
-/// rpc loop.
+/// (covering every line that read framed) and per stdin line while the
+/// front-end's IdleBank lasts, and one per Service::submit call.  While
+/// nothing is queued, a query priced within what is left of its grant
+/// skips the hand-off to the worker; the rest queue.  burst_mix prices
+/// each line at <= 31 us, so a read of its eight lines runs inline,
+/// while a 600-character string edit (priced at its 1,024-character plan
+/// bucket, about 3.2 ms) always goes to the worker.  It also bounds how
+/// long one read can hold the rpc loop.
 inline constexpr double kInlineAllowanceUs = 250.0;
+
+/// The most idle time, and the most busy time, an IdleBank remembers, in
+/// wall-clock microseconds.  Enough to answer a whole 32-line burst_mix
+/// burst inline after an idle spell, with room for a host that runs it
+/// slowly (with the server on one CPU, a 250-us bank left 51-70% of its
+/// cache misses to the worker, a 1-ms bank 2-8%); a front-end that stays
+/// busier than idle stops granting within this much busy time.
+inline constexpr double kIdleBankUs = 2000.0;
 
 /// What is left of one grant of kInlineAllowanceUs.
 struct InlineAllowance {
@@ -78,6 +89,39 @@ struct InlineAllowance {
     left_us -= us;
     return true;
   }
+};
+
+/// A front-end thread's idle bank: time spent waiting for input minus
+/// time spent busy, kept within +-kIdleBankUs.  The rpc loop and the
+/// stdin reader take their grants from it: a full grant while the bank
+/// covers the time since the thread last waited, an empty one after.
+/// So a front-end answers inline for about as long as it idles, and one
+/// that is behind its input hands its lines to the worker and goes back
+/// to reading.  One per thread; not thread-safe.
+class IdleBank {
+ public:
+  /// Book a wait for input that ran from `from` to `to`: debit the busy
+  /// time since the previous wait ended, credit this one.
+  void waited(ServeClock::time_point from, ServeClock::time_point to) {
+    bank_us_ = std::clamp(bank_us_ - us(woke_, from), -kIdleBankUs,
+                          kIdleBankUs);
+    bank_us_ = std::min(kIdleBankUs, bank_us_ + us(from, to));
+    woke_ = to;
+  }
+
+  /// The grant for input read at `now`.
+  InlineAllowance grant(ServeClock::time_point now) const {
+    const bool covered = bank_us_ > us(woke_, now);
+    return InlineAllowance{covered ? kInlineAllowanceUs : 0.0};
+  }
+
+ private:
+  static double us(ServeClock::time_point a, ServeClock::time_point b) {
+    return std::chrono::duration<double, std::micro>(b - a).count();
+  }
+
+  double bank_us_ = 0;
+  ServeClock::time_point woke_ = ServeClock::now();
 };
 
 struct ServiceOptions {

@@ -752,13 +752,56 @@ TEST(InlineRule, OneReadInlinesOnlyThePrefixItsAllowanceCovers) {
               kInlineAllowanceUs - static_cast<double>(prefix) * price, 1e-9);
 }
 
+TEST(InlineRule, IdleBankGrantsOnlyWhileWaitsCoverBusyTime) {
+  using us = std::chrono::microseconds;
+  const us cap(static_cast<us::rep>(kIdleBankUs));
+  const auto full = [](const InlineAllowance& a) {
+    return a.left_us == kInlineAllowanceUs;
+  };
+  IdleBank bank;
+  const auto t = ServeClock::now();
+  bank.waited(t, t);  // settle construction-to-t as busy time
+  EXPECT_FALSE(full(bank.grant(t)));  // nothing banked yet
+  EXPECT_EQ(bank.grant(t).left_us, 0.0);
+
+  // A wait twice the cap banks the cap, which covers input read up to
+  // kIdleBankUs after the wait ended.
+  auto at = t + 2 * cap;
+  bank.waited(t, at);
+  EXPECT_TRUE(full(bank.grant(at)));
+  EXPECT_TRUE(full(bank.grant(at + cap - us(1))));
+  EXPECT_FALSE(full(bank.grant(at + cap + us(1))));
+
+  // Busy for the cap plus 500 us, then a 100-us wait: the bank is 400 us
+  // short, so input gets an empty grant until the thread has idled that
+  // long.
+  bank.waited(at + cap + us(500), at + cap + us(600));
+  at += cap + us(600);
+  EXPECT_FALSE(full(bank.grant(at)));
+  bank.waited(at, at + us(500));
+  at += us(500);
+  EXPECT_TRUE(full(bank.grant(at)));
+  EXPECT_FALSE(full(bank.grant(at + us(150))));
+
+  // A long busy spell is remembered only down to -kIdleBankUs: after a
+  // second of work, a wait of the cap plus 100 us leaves 100 us.
+  const auto busy_until = at + std::chrono::seconds(1);
+  bank.waited(busy_until, busy_until + cap + us(100));
+  at = busy_until + cap + us(100);
+  EXPECT_TRUE(full(bank.grant(at + us(50))));
+  EXPECT_FALSE(full(bank.grant(at + us(150))));
+}
+
 TEST(InlineRule, InlineAndWorkerRunsOverlapWithConsistentAnswers) {
   // Cheap row queries run inline on four submitting threads while long
   // edits keep the worker busy, so the batcher runs on both at once
-  // (TSan runs this at PMONGE_THREADS=8).
+  // (TSan runs this at PMONGE_THREADS=8).  No cache: a repeated row
+  // would be a cached hit that never reaches the batcher.
   ThreadGuard tg;
   exec::set_num_threads(8);
-  Service svc;
+  ServiceOptions opts;
+  opts.cache_capacity = 0;
+  Service svc(opts);
   reg_random(svc, 32, 32, 9);
   Rng rng(9);
   const auto a = monge::random_monge(32, 32, rng);
@@ -796,6 +839,7 @@ TEST(InlineRule, InlineAndWorkerRunsOverlapWithConsistentAnswers) {
   EXPECT_EQ(bad.load(), 0);
   const Json st = stats_of(svc);
   EXPECT_GE(st.at("batches").at("count").as_int(), 6);  // every edit queued
+  EXPECT_GT(st.at("queue").at("inline").as_int(), 0);
 }
 
 TEST(Service, RegisterValidateRejectsNonMonge) {
