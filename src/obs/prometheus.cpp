@@ -273,13 +273,7 @@ std::string prometheus_text(const Json& stats) {
             {{"enabled", "pmonge_planner_enabled", "Adaptive planner enabled",
               "gauge"},
              {"threads", "pmonge_planner_threads",
-              "Thread count the planner costs against", "gauge"},
-             {"plan_cache_hits", "pmonge_plan_cache_hits_total",
-              "Plan cache hits", "counter"},
-             {"plan_cache_misses", "pmonge_plan_cache_misses_total",
-              "Plan cache misses", "counter"},
-             {"plan_cache_size", "pmonge_plan_cache_size",
-              "Plan cache entries", "gauge"}});
+              "Thread count the planner costs against", "gauge"}});
     if (const Json* profile = planner->find("profile")) {
       w.family("pmonge_planner_info", "Planner cost-profile identity",
                "gauge");

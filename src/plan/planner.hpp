@@ -2,13 +2,18 @@
 //
 // Given what a query touches (a QueryShape), the Planner evaluates the
 // cost model for each route its op class lists (kOpClasses in
-// cost_model.hpp) and returns the cheapest as a Plan {algo, predicted
-// cost}.  The serve batcher executes the group with the plan's
-// algorithm (all routes produce the same leftmost-optimum bytes);
-// Service::submit uses predicted_us to reject requests whose deadline is
-// unmeetable before they enter the engine.  How a parallel plan splits
-// across the host pool is not the planner's call: the exec engine's fork
-// rule decides that per fork, from the kernel's own work prediction.
+// cost_model.hpp) at exactly that shape and returns the cheapest as a
+// Plan {algo, predicted cost}.  The serve batcher executes the group with
+// the plan's algorithm (all routes produce the same leftmost-optimum
+// bytes); Service::submit uses predicted_us to reject requests whose
+// deadline is unmeetable before they enter the engine, and to price the
+// inline rule's grant.  How a parallel plan splits across the host pool
+// is not the planner's call: the exec engine's fork rule decides that per
+// fork, from the kernel's own work prediction.
+//
+// A plan is a pure function of (profile, shape, lanes): a few cost
+// formulas, no lock and no shared state, so every front-end thread and
+// the worker price their own queries.
 //
 // A disabled planner (--no-plan) always answers the class's last route
 // -- the paper's parallel kernel for the searches and geometric apps,
@@ -17,12 +22,16 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 
 #include "plan/cost_model.hpp"
-#include "plan/plan_cache.hpp"
 
 namespace pmonge::plan {
+
+/// The planner's decision for one shape.
+struct Plan {
+  Algo algo = Algo::Parallel;
+  double predicted_us = 0;  // at the shape it was planned for
+};
 
 class Planner {
  public:
@@ -30,7 +39,7 @@ class Planner {
   /// (exec::num_threads() of the serving process).
   Planner(CostProfile profile, bool enabled, std::size_t threads);
 
-  /// The chosen plan for shape's class (memoized; see plan_cache.hpp).
+  /// The chosen plan for `shape`, priced at exactly that shape.
   Plan plan(const QueryShape& shape) const;
 
   /// Predicted wall microseconds for running `shape` its chosen way --
@@ -40,26 +49,21 @@ class Planner {
   }
 
   /// For a SubmatrixSearch shape with a built index available: should
-  /// the lookup go through the index rather than a direct recompute?
-  /// Disabled planner -> always true (fixed dispatch uses an index
-  /// whenever one exists).  Enabled -> compare index_lookup_ns against
-  /// the best direct plan.  Either way the answer never changes the
-  /// response bytes, only the route.
-  bool prefer_index(const QueryShape& shape) const;
+  /// the lookup go through the index rather than run `direct`, the plan
+  /// the group already holds for `shape`?  Disabled planner -> always
+  /// true (fixed dispatch uses an index whenever one exists).  Enabled
+  /// -> compare index_lookup_ns against direct's price.  Either way the
+  /// answer never changes the response bytes, only the route.
+  bool prefer_index(const QueryShape& shape, const Plan& direct) const;
 
   bool enabled() const { return enabled_; }
   const CostProfile& profile() const { return profile_; }
   std::size_t threads() const { return threads_; }
-  PlanCache::Stats cache_stats() const { return cache_->stats(); }
-  void clear_cache() const { cache_->clear(); }
 
  private:
-  Plan plan_at(const QueryShape& rep) const;
-
   CostProfile profile_;
   bool enabled_;
   std::size_t threads_;
-  std::unique_ptr<PlanCache> cache_;
 };
 
 }  // namespace pmonge::plan

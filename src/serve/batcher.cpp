@@ -692,13 +692,15 @@ void Batcher::dispatch_group(std::vector<Member>& ms) {
 }
 
 std::shared_ptr<index::Index> Batcher::index_for(
-    const Request& req, const plan::QueryShape& shape) const {
+    const Request& req, const plan::QueryShape& shape,
+    const plan::Plan& direct) const {
   // Route through the index only when one exists for the operand and the
-  // planner predicts the O(lg m) lookups beat the best direct plan
+  // planner predicts the O(lg m) lookups beat `direct`, the group's plan
   // (docs/indexing.md).
   const std::int64_t id = operand_id(req.body, op_spec(req.op).operands[0]);
   auto idx = id < 0 ? nullptr : indexes_.get(static_cast<std::uint64_t>(id));
-  return idx != nullptr && planner_.prefer_index(shape) ? idx : nullptr;
+  return idx != nullptr && planner_.prefer_index(shape, direct) ? idx
+                                                                : nullptr;
 }
 
 void Batcher::dispatch_group_once(std::vector<Member>& ms, bool degraded) {
@@ -757,7 +759,7 @@ void Batcher::dispatch_group_once(std::vector<Member>& ms, bool degraded) {
         // The degraded path (breaker open) stays on the direct sequential
         // solver -- same bytes either way, so the route is free to vary.
         run_submatrix_group(ms, arrays[0],
-                            degraded ? nullptr : index_for(front, shape),
+                            degraded ? nullptr : index_for(front, shape, pl),
                             spec.maxima, pl);
         break;
       case Op::TubeMax:
@@ -841,7 +843,7 @@ void Batcher::run_explain(const Request& req, BatchOutcome& out) {
   plan_o["planner_enabled"] = planner_.enabled();
   if (shape.op == plan::OpClass::SubmatrixSearch) {
     // Whether the non-degraded dispatch would route through the index.
-    plan_o["use_index"] = index_for(inner, shape) != nullptr;
+    plan_o["use_index"] = index_for(inner, shape, pl) != nullptr;
   }
   plan_o["shape"] = Json(std::move(shape_o));
   Json::Obj outcome_o;

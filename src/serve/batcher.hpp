@@ -24,11 +24,11 @@
 // disabled planner takes each class's last route.
 //
 // Correctness contract: outcome[i] depends only on request i -- never on
-// what else shared its batch, which profile is loaded, or what the plan
-// cache holds -- so responses are bit-identical whether coalescing or
-// planning is on or off.  Per-request failures (bad fields, unknown
-// arrays) are per-request errors; a group-level algorithm failure marks
-// only that group's members, never its batch siblings.
+// what else shared its batch or which profile is loaded -- so responses
+// are bit-identical whether coalescing or planning is on or off.
+// Per-request failures (bad fields, unknown arrays) are per-request
+// errors; a group-level algorithm failure marks only that group's
+// members, never its batch siblings.
 //
 // The `explain` op ({"op":"explain","query":{...}}) answers with the
 // inner query's plan, its predicted cost, the measured wall time of one
@@ -142,7 +142,8 @@ class Batcher {
                            bool degraded);
   plan::Plan plan_for(const plan::QueryShape& shape, bool degraded) const;
   std::shared_ptr<index::Index> index_for(const Request& req,
-                                          const plan::QueryShape& shape) const;
+                                          const plan::QueryShape& shape,
+                                          const plan::Plan& direct) const;
   void run_explain(const Request& req, BatchOutcome& out);
   bool breaker_open() const;
   void note_failure();

@@ -653,14 +653,10 @@ Json Service::stats_json() const {
   flt["injected"] = Json(std::move(injected));
   flt["total"] = fault::injected_total();
   out["fault"] = Json(std::move(flt));
-  const plan::PlanCache::Stats ps = planner_.cache_stats();
   Json::Obj planner;
   planner["enabled"] = planner_.enabled();
   planner["profile"] = planner_.profile().id;
   planner["threads"] = static_cast<std::int64_t>(planner_.threads());
-  planner["plan_cache_hits"] = ps.hits;
-  planner["plan_cache_misses"] = ps.misses;
-  planner["plan_cache_size"] = static_cast<std::int64_t>(ps.size);
   out["planner"] = Json(std::move(planner));
   Json::Obj queue;
   queue["capacity"] = queue_->capacity();

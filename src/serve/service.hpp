@@ -23,7 +23,7 @@
 // Determinism guarantee: the bytes of every query response depend only on
 // the request and the registered operand -- not on PMONGE_THREADS, not on
 // batching on/off, not on cache warm/cold, not on what shared the batch,
-// not on the planner toggle, the loaded cost profile, or the plan cache.
+// not on the planner toggle or the loaded cost profile.
 // `stats` and `explain` are the deliberate exceptions (they report live
 // counters / measured timings).
 //
@@ -66,9 +66,9 @@ namespace pmonge::serve {
 /// nothing is queued, a query priced within what is left of its grant
 /// skips the hand-off to the worker; the rest queue.  burst_mix prices
 /// each line at <= 31 us, so a read of its eight lines runs inline,
-/// while a 600-character string edit (priced at its 1,024-character plan
-/// bucket, about 3.2 ms) always goes to the worker.  It also bounds how
-/// long one read can hold the rpc loop.
+/// while a 600-character string edit (priced at its own shape, about
+/// 1.1 ms) always goes to the worker.  It also bounds how long one read
+/// can hold the rpc loop.
 inline constexpr double kInlineAllowanceUs = 250.0;
 
 /// The most idle time, and the most busy time, an IdleBank remembers, in

@@ -1,5 +1,5 @@
 // Planner tests: cost-model monotonicity, profile persistence (loud
-// failures), shape-class memoization, and the serve-layer contracts --
+// failures), pricing at the exact shape, and the serve-layer contracts --
 // explain is well-formed for every query op, and the chosen variant is
 // invisible in response bytes across shapes straddling the exec fork
 // rule's kappa and the cost-model crossovers.
@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,6 @@
 #include "par/monge_rowminima.hpp"
 #include "plan/calibrate.hpp"
 #include "plan/cost_model.hpp"
-#include "plan/plan_cache.hpp"
 #include "plan/planner.hpp"
 #include "serve/json.hpp"
 #include "serve/service.hpp"
@@ -75,7 +75,7 @@ TEST(CostModel, BuiltinCrossoversAreSane) {
 }
 
 // ---------------------------------------------------------------------------
-// Planner + plan cache
+// Planner
 // ---------------------------------------------------------------------------
 
 TEST(Planner, DisabledPlannerIsEachClassLastRoute) {
@@ -148,25 +148,49 @@ TEST(Planner, StringEditNeverPlansParallel) {
   EXPECT_EQ(plans, 3u * 2 * 4 * lengths.size() * lengths.size() * 7);
 }
 
-TEST(Planner, MemoizesPerShapeClass) {
-  const Planner p(builtin_profile(), true, 8);
-  const Plan a = p.plan({OpClass::RowSearch, 24, 31, 1});
-  auto s = p.cache_stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.size, 1u);
-  // Same lg-buckets (rows in (16,32], cols in (16,32], batch 1): a hit,
-  // and the identical plan.
-  const Plan b = p.plan({OpClass::RowSearch, 17, 32, 1});
-  s = p.cache_stats();
-  EXPECT_EQ(s.hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(b.algo, a.algo);
-  EXPECT_EQ(b.predicted_us, a.predicted_us);
-  // Different bucket: a fresh class.
-  p.plan({OpClass::RowSearch, 100, 31, 1});
-  EXPECT_EQ(p.cache_stats().misses, 2u);
-  p.clear_cache();
-  EXPECT_EQ(p.cache_stats().size, 0u);
+/// The cheapest listed route's price at exactly `shape`, in us.
+double cheapest_us(const CostProfile& prof, const QueryShape& shape,
+                   std::size_t lanes) {
+  double best = std::numeric_limits<double>::infinity();
+  for (const Algo a : op_class_info(shape.op).routes) {
+    best = std::min(best, predicted_ns(prof, a, shape, lanes));
+  }
+  return best / 1000.0;
+}
+
+TEST(Planner, PricesEachShapeExactly) {
+  const CostProfile prof = builtin_profile();
+  const Planner on(prof, true, 4);
+  const Planner off(prof, false, 4);
+  // Between powers of two as well as at them, for every class.
+  for (const OpClassInfo& cls : kOpClasses) {
+    for (const std::size_t n : {1u, 3u, 13u, 99u, 600u, 1025u, 4096u}) {
+      for (const std::size_t b : {1u, 3u, 17u, 100u}) {
+        const QueryShape s{cls.op, n, n / 3 + 1, b};
+        EXPECT_EQ(on.plan(s).predicted_us, cheapest_us(prof, s, 4))
+            << cls.name << " n=" << n << " batch=" << b;
+        EXPECT_EQ(off.plan(s).predicted_us,
+                  predicted_ns(prof, cls.routes.back(), s, 4) / 1000.0)
+            << cls.name << " n=" << n << " batch=" << b;
+      }
+    }
+  }
+  // A 99 x 99 edit fills 100^2 DP cells at 3 ns: 30 us (rounded up to
+  // 128 x 128 it would read 49.9 us).
+  const Plan e99 = on.plan({OpClass::EditDistance, 99, 99, 1});
+  EXPECT_EQ(e99.algo, Algo::Brute);
+  EXPECT_DOUBLE_EQ(e99.predicted_us, 30.0);
+  // A 600 x 600 edit: 3 ns x 601^2 = 1,083.6 us (3,152 us at 1,024^2).
+  EXPECT_NEAR(on.predicted_us({OpClass::EditDistance, 600, 600, 1}),
+              1083.603, 1e-6);
+  // 17 queried rows of a 4096 x 1024 operand: 17 x 1,024 brute cells
+  // (26.1 us) undercut the sequential solver's 30.7 us, which wins at 32
+  // rows.
+  const Plan rows17 = on.plan({OpClass::RowSearch, 4096, 1024, 17});
+  EXPECT_EQ(rows17.algo, Algo::Brute);
+  EXPECT_DOUBLE_EQ(rows17.predicted_us, 1.5 * 17 * 1024 / 1000.0);
+  EXPECT_EQ(on.plan({OpClass::RowSearch, 4096, 1024, 32}).algo,
+            Algo::Sequential);
 }
 
 TEST(Planner, SmallShapesAvoidTheParallelKernel) {
@@ -179,17 +203,26 @@ TEST(Planner, SmallShapesAvoidTheParallelKernel) {
 }
 
 TEST(Planner, PredictedCostMonotoneInOperandSize) {
-  // The admission number must grow (weakly) with the operand, per op
-  // class -- quantized planning must not invert sizes.
+  // The admission number must grow (weakly) with the operand and the
+  // batch, per op class, at powers of two and between them (2^k +
+  // 2^(k-1) + 1): switching routes must not invert sizes.
+  std::vector<std::size_t> sizes;
+  for (std::size_t k = 0; k <= 14; ++k) {
+    const std::size_t pow2 = std::size_t{1} << k;
+    sizes.push_back(pow2);
+    if (k >= 2) sizes.push_back(pow2 + pow2 / 2 + 1);
+  }
   const Planner p(builtin_profile(), true, 8);
   for (const OpClassInfo& cls : kOpClasses) {
-    double prev = -1;
-    for (std::size_t k = 0; k <= 14; ++k) {
-      const std::size_t n = std::size_t{1} << k;
+    double prev = -1, prev_batch = -1;
+    for (const std::size_t n : sizes) {
       const double us = p.predicted_us({cls.op, n, n, 1});
       EXPECT_GE(us, prev) << cls.name << " n=" << n;
       EXPECT_GT(us, 0) << cls.name << " n=" << n;
       prev = us;
+      const double by_batch = p.predicted_us({cls.op, 1000, 1000, n});
+      EXPECT_GE(by_batch, prev_batch) << cls.name << " batch=" << n;
+      prev_batch = by_batch;
     }
   }
 }
@@ -515,7 +548,6 @@ TEST(Stats, ReportsPlannerStateAndChoices) {
   const Json& planner = stats.at("planner");
   EXPECT_TRUE(planner.at("enabled").as_bool());
   EXPECT_EQ(planner.at("profile").as_string(), "builtin-v1");
-  EXPECT_GE(planner.at("plan_cache_misses").as_int(), 1);
   const Json& plans = stats.at("plans");
   // An 8x8 single-row query is far below every parallel crossover.
   EXPECT_GE(plans.at("brute").as_int() + plans.at("sequential").as_int(), 1);

@@ -16,6 +16,7 @@
 #include <sys/socket.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -538,6 +539,74 @@ TEST(RpcServer, InflightValvePausesReadsButAnswersEverything) {
         << resp;
   }
   EXPECT_EQ(c.request(kPing), kPong);
+}
+
+// ---------------------------------------------------------------------------
+// Inline grants: a loop that stays busy hands lines to the worker
+// ---------------------------------------------------------------------------
+
+TEST(RpcServer, BusyLoopSpendsItsIdleBankThenQueues) {
+  // One send of far more cheap misses than the loop can answer within its
+  // idle bank (kIdleBankUs of busy time), so the loop never waits for
+  // input.  Each 64 KiB read frames about 1,500 lines priced at 0.02 us,
+  // well within one inline grant, so only the bank makes the loop hand
+  // lines to the worker.
+  constexpr std::size_t kLines = 8192;
+  serve::ServiceOptions sopts;
+  sopts.cache_capacity = 0;  // every line a miss
+  sopts.queue_capacity = kLines;  // refuse nothing, here or at the valve
+  rpc::ServerOptions ropts;
+  ropts.limits.overload_inflight = kLines;
+  TestServer ts(sopts, ropts);
+  rpc::Client c = ts.connect();
+  const std::string reg =
+      R"({"op":"register_random","id":1,"rows":16,"cols":16,"seed":5})";
+  ASSERT_EQ(c.request(reg), R"({"id":1,"ok":true,"result":{"array":0}})");
+
+  serve::Service ref(sopts);  // the in-process reference
+  ASSERT_EQ(ref.request(reg), R"({"id":1,"ok":true,"result":{"array":0}})");
+  std::string burst;
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < kLines; ++i) {
+    const std::string line = R"({"op":"rowmin","id":)" + std::to_string(i) +
+                             R"(,"array":0,"row":)" +
+                             std::to_string(i % 16) + "}";
+    expected.push_back(ref.request(line));
+    burst += line;
+    burst += '\n';
+  }
+  ASSERT_GE(burst.size(), std::size_t{200} << 10);
+
+  // Answers are read on a second thread while the burst goes out, so
+  // neither side's socket buffer can stall the other.
+  const int fd = c.fd();
+  std::vector<std::string> got;
+  std::thread reader([&] {
+    try {
+      while (got.size() < kLines) got.push_back(c.recv_line());
+    } catch (const rpc::RpcError&) {  // short; the comparison below fails
+    }
+  });
+  for (std::size_t off = 0; off < burst.size();) {
+    const ssize_t k =
+        ::send(fd, burst.data() + off, burst.size() - off, MSG_NOSIGNAL);
+    if (k > 0) {
+      off += static_cast<std::size_t>(k);
+    } else if (errno != EINTR) {
+      break;
+    }
+  }
+  reader.join();
+  ASSERT_EQ(got.size(), kLines);
+  for (std::size_t i = 0; i < kLines; ++i) {
+    ASSERT_EQ(got[i], expected[i]) << "line " << i;
+  }
+  const serve::Json stats =
+      serve::Json::parse(ts.service.request(R"({"op":"stats"})"))
+          .at("result");
+  EXPECT_GT(stats.at("queue").at("admitted").as_int(), 0)
+      << "the loop answered every line itself: inline "
+      << stats.at("queue").at("inline").as_int();
 }
 
 // ---------------------------------------------------------------------------

@@ -419,8 +419,7 @@ TEST(Service, ResponsesBitIdenticalAcrossThreadsBatchingAndCache) {
     opts.profile = profiles[c.profile];
     Service svc(opts);
     runs.push_back(run_workload(svc));
-    // Warm second pass inside the same service: the result cache and the
-    // plan cache are both hot now, and the bytes must still match.
+    // A second service with the same options must answer the same bytes.
     Service svc2(opts);
     auto first = run_workload(svc2);
     EXPECT_EQ(first, runs.back());
@@ -510,6 +509,26 @@ TEST(Service, UnmeetableDeadlinesRejectedAtAdmission) {
   EXPECT_EQ(rowmin.at("unmeetable").as_int(), 1);
   EXPECT_EQ(rowmin.at("requests").as_int(), 0);  // never entered the engine
   svc.resume();
+}
+
+TEST(Service, UnknownArrayPricesAtZeroAndExpiresInTheQueue) {
+  // An unregistered array has shape 0 x 0, which prices at exactly 0 us,
+  // so even a zero deadline is not unmeetable at admission: the line
+  // queues (a deadline keeps it off the inline path) and the worker finds
+  // its deadline passed.
+  ServiceOptions opts;
+  opts.cache_capacity = 0;
+  Service svc(opts);
+  EXPECT_EQ(
+      svc.request(
+          R"({"op":"rowmin","id":1,"array":99,"row":0,"deadline_ms":0})"),
+      R"({"error":"deadline_expired","id":1,"ok":false})");
+  const Json stats =
+      Json::parse(svc.request(R"({"op":"stats"})")).at("result");
+  const Json& rowmin = stats.at("endpoints").at("rowmin");
+  EXPECT_EQ(rowmin.at("unmeetable").as_int(), 0);
+  EXPECT_EQ(rowmin.at("expired").as_int(), 1);
+  EXPECT_EQ(stats.at("queue").at("admitted").as_int(), 1);
 }
 
 TEST(Service, ConcurrentSubmittersGetConsistentAnswers) {
@@ -608,8 +627,8 @@ std::string edit_line(std::size_t len, std::uint64_t seed) {
   return R"({"op":"string_edit","x":")" + x + R"(","y":")" + y + "\"}";
 }
 
-/// A default Service's price of one len x len string edit, in us: the
-/// planner prices the power-of-two bucket the shape falls in.
+/// A default Service's price of one len x len string edit, in us, at
+/// exactly that shape: 3 ns per cell of the (len + 1)^2 DP table.
 double edit_price_us(std::size_t len) {
   const plan::Planner planner(plan::builtin_profile(), true,
                               exec::num_threads());
@@ -646,8 +665,7 @@ TEST(InlineRule, IdleQueueAnswersACheapQueryBeforeSubmitCbReturns) {
 
 TEST(InlineRule, WorkPricedAboveTheAllowanceRunsOnTheWorker) {
   Service svc;
-  // A 600-character edit is priced at its 1,024-character bucket, about
-  // 3.2 ms.
+  // A 600-character edit is priced at its own shape, about 1.1 ms.
   ASSERT_GT(edit_price_us(600), kInlineAllowanceUs);
   const std::string line = edit_line(600, 11);
   InlineAllowance allowance;
@@ -722,9 +740,9 @@ TEST(InlineRule, PauseTracingFaultsDeadlinesAndExplainQueue) {
 
 TEST(InlineRule, OneReadInlinesOnlyThePrefixItsAllowanceCovers) {
   // Twelve lines of one read share a grant.  Each 99-character edit is
-  // priced at its 128-character bucket, about 50 us, so the first
-  // floor(allowance / price) run inline, in order; the line that no
-  // longer fits and everything after it queue.
+  // priced at its own shape, 30 us, so the first floor(allowance / price)
+  // = 8 run inline, in order; the line that no longer fits and
+  // everything after it queue.
   constexpr std::size_t kLines = 12;
   const double price = edit_price_us(99);
   const auto prefix =
