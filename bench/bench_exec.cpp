@@ -27,7 +27,6 @@
 #include <sched.h>
 
 #include <chrono>
-#include <fstream>
 #include <string>
 #include <thread>
 
@@ -99,21 +98,6 @@ bool build_engine(std::size_t lanes, const std::vector<int>& cpus) {
   return pinned;
 }
 
-/// The CPU model line of /proc/cpuinfo, naming the host in the records.
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const auto colon = line.find(':');
-      if (colon != std::string::npos && colon + 2 <= line.size()) {
-        return line.substr(colon + 2);
-      }
-    }
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -126,7 +110,7 @@ int main(int argc, char** argv) {
 
   const std::vector<int> cpus = allowed_cpus();
   const std::size_t nproc = std::thread::hardware_concurrency();
-  const std::string host = cpu_model();
+  const std::string host = bench::cpu_model();
   bench::print_header(
       "Engine self-speedup: batched 256 x 256 Monge row minima");
   std::cout << "host: " << host << ", nproc " << nproc << ", "

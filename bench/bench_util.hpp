@@ -79,6 +79,21 @@ inline std::string shape_cell(const std::vector<SeriesPoint>& pts,
          Table::fixed(fit.constant, 2) + ")";
 }
 
+/// The CPU model line of /proc/cpuinfo, naming the host in the records.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        return line.substr(colon + 2);
+      }
+    }
+  }
+  return "unknown";
+}
+
 inline void print_header(const std::string& title) {
   std::cout << "\n==== " << title << " ====\n";
 }

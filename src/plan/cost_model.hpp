@@ -219,8 +219,10 @@ inline double predicted_ns(const CostProfile& prof, Algo algo,
 }
 
 /// Predicted wall nanoseconds for answering `shape` through a built
-/// query index (src/index): O(lg m) node visits plus the partial-piece
-/// solves, each visit one segment-tree range query over n columns.
+/// query index (src/index): O(lg m + lg n) node visits, each one step of
+/// a segment-tree range query over n columns.  The two leaf-edge pieces
+/// are not solved at lookup time: they read stored envelopes and block
+/// optima, so the node term is the whole formula.
 inline double index_lookup_ns(const CostProfile& prof,
                               const QueryShape& shape) {
   const double m = static_cast<double>(shape.rows);

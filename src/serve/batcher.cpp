@@ -223,14 +223,14 @@ void run_staircase_group(std::vector<Member>& members,
 
   obs::Span kspan("serve.kernel");
   kspan.set_detail(plan::algo_name(pl.algo));
-  monge::StaircaseArray<monge::DenseArray<std::int64_t>> s(entry->data,
-                                                           entry->frontier);
   std::vector<RowOpt<std::int64_t>> res;
   if (pl.algo == plan::Algo::Brute) {
-    // Leftmost optimum over each queried row's finite prefix.
+    // Leftmost optimum over each queried row's finite prefix.  The
+    // frontier was validated at registration, so this reads it in place
+    // instead of building (and re-checking) a StaircaseArray copy.
     res.reserve(rows.size());
     for (const std::size_t r : rows) {
-      const std::size_t width = s.frontier(r);
+      const std::size_t width = entry->frontier[r];
       RowOpt<std::int64_t> best{0, kNoCol};
       for (std::size_t j = 0; j < width; ++j) {
         const std::int64_t v = entry->data(r, j);
@@ -241,11 +241,15 @@ void run_staircase_group(std::vector<Member>& members,
       res.push_back(best);
     }
   } else if (pl.algo == plan::Algo::Sequential) {
+    const monge::StaircaseArray<monge::DenseArray<std::int64_t>> s(
+        entry->data, entry->frontier);
     auto all = maxima ? monge::staircase_row_maxima_seq(s)
                       : monge::staircase_row_minima_seq(s);
     res.reserve(rows.size());
     for (const std::size_t r : rows) res.push_back(all[r]);
   } else {
+    const monge::StaircaseArray<monge::DenseArray<std::int64_t>> s(
+        entry->data, entry->frontier);
     pram::Machine mach(model);
     res = maxima ? par::staircase_row_maxima_rows(mach, s, rows)
                  : par::staircase_row_minima_rows(mach, s, rows);
@@ -842,8 +846,15 @@ void Batcher::run_explain(const Request& req, BatchOutcome& out) {
   plan_o["profile"] = planner_.profile().id;
   plan_o["planner_enabled"] = planner_.enabled();
   if (shape.op == plan::OpClass::SubmatrixSearch) {
-    // Whether the non-degraded dispatch would route through the index.
-    plan_o["use_index"] = index_for(inner, shape, pl) != nullptr;
+    // Whether the non-degraded dispatch would route through the index,
+    // and then the index price prefer_index weighed against
+    // predicted_us: actual_us times the index route.
+    const bool use_index = index_for(inner, shape, pl) != nullptr;
+    plan_o["use_index"] = use_index;
+    if (use_index) {
+      plan_o["index_predicted_us"] =
+          plan::index_lookup_ns(planner_.profile(), shape) / 1000.0;
+    }
   }
   plan_o["shape"] = Json(std::move(shape_o));
   Json::Obj outcome_o;

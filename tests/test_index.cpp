@@ -6,6 +6,10 @@
 //     submatrix_direct variant (brute / sequential SMAWK / chunked
 //     parallel) over seeded random monge / inverse-Monge / staircase
 //     arrays, across thread counts;
+//   * leaf-edge pieces -- every piece shape (leaf prefixes and suffixes,
+//     in-leaf regions, single rows and columns, cut and whole column
+//     blocks) against brute force on random and tie-heavy monge /
+//     inverse-Monge arrays at leaf sizes 64 and 2;
 //   * fork-rule bit-identity -- arrays whose predicted build work
 //     straddles the exec fork rule's kappa build in place vs on the pool
 //     and must answer identically;
@@ -14,8 +18,8 @@
 //   * invalidation -- unregister drops the index; later submatrix
 //     queries answer unknown_array, never a stale indexed result;
 //   * node-corrupt chaos -- index.node_corrupt armed at a high rate:
-//     checksums catch every flip, nodes rebuild from the source array,
-//     and the bytes never move.  Seeded failures print a reproduction
+//     checksums catch every flip, nodes and leaf piece payloads rebuild
+//     from the source array, and the bytes never move.  Seeded failures print a reproduction
 //     command (bench/bench_util.hpp).
 //
 // Knobs:
@@ -23,9 +27,11 @@
 //   PMONGE_INDEX_SEED  run ONLY this workload seed
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -176,6 +182,122 @@ TEST_F(IndexTest, DifferentialIndexVsDirectAllKinds) {
   }
 }
 
+// Operands where ties decide every answer: a[i][j] = f(j) + g(i) with
+// values drawn from a handful, so rows and columns repeat.  A sum of a
+// row term and a column term is both Monge and inverse-Monge (equality).
+std::shared_ptr<const ArrayEntry> tie_entry(const char* shape, bool inverse,
+                                            std::size_t m, std::size_t n,
+                                            std::uint64_t seed) {
+  Rng rng(seed);
+  ArrayEntry e;
+  e.kind = inverse ? ArrayEntry::Kind::InverseMonge : ArrayEntry::Kind::Monge;
+  e.data = monge::DenseArray<std::int64_t>(m, n);
+  const std::string s(shape);
+  std::vector<std::int64_t> f(n), g(m);
+  for (auto& x : f) x = s == "constant" ? 5 : rng.uniform_int(0, 3);
+  for (auto& x : g) x = s == "sum" ? rng.uniform_int(0, 2) : 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) e.data.at(i, j) = f[j] + g[i];
+  }
+  return std::make_shared<const ArrayEntry>(std::move(e));
+}
+
+/// Regions that exercise every piece shape: all pairs of each leaf's
+/// first, second, middle and last rows (leaf prefixes and suffixes,
+/// regions inside one leaf, single rows, pieces on both edges) crossed
+/// with column ranges that are full width, one column, aligned and cut
+/// kBlockCols blocks, and random.
+std::vector<Region> piece_regions(std::size_t m, std::size_t n,
+                                  std::size_t leaf, std::size_t max_pairs,
+                                  Rng& rng) {
+  std::vector<std::size_t> rows;
+  for (std::size_t lo = 0; lo < m; lo += leaf) {
+    const std::size_t hi = std::min(m, lo + leaf) - 1;
+    for (const std::size_t r : {lo, lo + 1, lo + (hi - lo) / 2, hi}) {
+      if (r <= hi && (rows.empty() || rows.back() < r)) rows.push_back(r);
+    }
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t x = 0; x < rows.size(); ++x) {
+    for (std::size_t y = x; y < rows.size(); ++y) {
+      pairs.emplace_back(rows[x], rows[y]);
+    }
+  }
+  while (pairs.size() > max_pairs) {
+    const auto k = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(pairs.size()) - 1));
+    pairs[k] = pairs.back();
+    pairs.pop_back();
+  }
+  const std::size_t k = index::kBlockCols;
+  const auto col = [&] {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::vector<Region> out;
+  for (const auto& [r0, r1] : pairs) {
+    const std::size_t c = col();
+    const std::size_t d = col();
+    std::vector<std::pair<std::size_t, std::size_t>> cols = {
+        {0, n - 1}, {c, c}, {std::min(c, d), std::max(c, d)},
+        {0, c},     {c, n - 1}};
+    if (n > 2 * k) {
+      cols.emplace_back(k, 2 * k - 1);      // one whole block
+      cols.emplace_back(k - 1, 2 * k);      // cut blocks on both sides
+      cols.emplace_back(k + 1, n - 2);      // whole blocks between cuts
+    }
+    for (const auto& [c0, c1] : cols) out.push_back({r0, r1, c0, c1});
+  }
+  return out;
+}
+
+TEST_F(IndexTest, EdgePiecesMatchBruteOnEveryShape) {
+  // Monge and inverse-Monge, min and max; heights that are and are not a
+  // multiple of the leaf, widths that are not a multiple of the block;
+  // leaves of 64 rows and of 2; random and tie-heavy operands.
+  struct Shape {
+    std::size_t m, n;
+  };
+  exec::set_num_threads(1);
+  for (const std::uint64_t seed : workload_seeds()) {
+    for (const Shape sh : {Shape{150, 90}, Shape{200, 33}, Shape{64, 1},
+                           Shape{128, 200}, Shape{70, 64}}) {
+      std::vector<std::pair<std::string, std::shared_ptr<const ArrayEntry>>>
+          entries;
+      for (const bool inverse : {false, true}) {
+        const std::string k = inverse ? "inverse_monge" : "monge";
+        entries.emplace_back(
+            k, make_entry(k.c_str(), sh.m, sh.n, seed * 31 + sh.m + sh.n));
+        for (const char* t : {"constant", "equal_rows", "sum"}) {
+          entries.emplace_back(k + "/" + t,
+                               tie_entry(t, inverse, sh.m, sh.n, seed + sh.n));
+        }
+      }
+      for (const std::size_t leaf : {index::kDefaultLeafRows, std::size_t{2}}) {
+        for (const auto& [name, entry] : entries) {
+          Index idx(entry, leaf);
+          idx.build();
+          Rng rng(seed * 977 + leaf);
+          for (const Region& g : piece_regions(sh.m, sh.n, leaf, 120, rng)) {
+            for (const bool maxima : {false, true}) {
+              const RegionOpt want = index::submatrix_direct(
+                  *entry, maxima, plan::Algo::Brute, g.r0, g.r1, g.c0, g.c1);
+              const RegionOpt got =
+                  idx.submatrix_opt(maxima, g.r0, g.r1, g.c0, g.c1);
+              ASSERT_TRUE(same(want, got))
+                  << index_repro(seed, 1) << "\n  " << name << " " << sh.m
+                  << "x" << sh.n << " leaf " << leaf
+                  << (maxima ? " max " : " min ") << "[" << g.r0 << ","
+                  << g.r1 << "]x[" << g.c0 << "," << g.c1 << "]: brute "
+                  << region_str(want) << " vs index " << region_str(got);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_F(IndexTest, EmptyStaircaseRegionHasNoValue) {
   // A handcrafted frontier with fully-infinite bottom rows: regions
   // entirely past the frontier must answer has == false everywhere.
@@ -207,21 +329,23 @@ TEST_F(IndexTest, EmptyStaircaseRegionHasNoValue) {
 // ---------------------------------------------------------------------------
 
 TEST_F(IndexTest, ForkRuleStraddleBitIdentity) {
-  // A dense m x m build predicts 2 * 7 * (rows + m) work per 64-row leaf.
-  // At m = 119 its two leaves sum to 4998, at most kappa: the build stays
-  // on the calling thread.  At m = 120 they sum to 5040 and the leaves go
-  // to the pool.  Either way the answers match brute, and a 1-thread
-  // build matches an 8-thread build field for field.
-  static_assert(14 * (64 + 119) + 14 * (55 + 119) <= exec::kForkWork &&
-                14 * (64 + 120) + 14 * (56 + 120) > exec::kForkWork);
-  for (const std::size_t m : {119u, 120u}) {
-    const auto entry = make_entry("monge", m, m, 99);
+  // A build predicts 2 * rows * w work per leaf (every cell read once per
+  // direction).  A 100-row operand has two leaves (64 + 36 rows): at
+  // w = 25 they sum to 5000, at most kappa, and the build stays on the
+  // calling thread; at w = 26 they sum to 5200 and the leaves go to the
+  // pool.  Either way the answers match brute, and a
+  // 1-thread build matches an 8-thread build field for field.
+  constexpr std::size_t m = 100;
+  static_assert(2 * m * 25 <= exec::kForkWork &&
+                2 * m * 26 > exec::kForkWork);
+  for (const std::size_t w : {25u, 26u}) {
+    const auto entry = make_entry("monge", m, w, 99);
     exec::set_num_threads(8);
     Index par_idx(entry);
     const std::uint64_t b0 = exec::pool_stats().batches;
     par_idx.build();
     const std::uint64_t batches = exec::pool_stats().batches - b0;
-    if (m == 119) {
+    if (w == 25) {
       EXPECT_EQ(batches, 0u) << "a build below kappa reached the pool";
     } else {
       EXPECT_GE(batches, 1u) << "a build above kappa stayed in place";
@@ -229,18 +353,19 @@ TEST_F(IndexTest, ForkRuleStraddleBitIdentity) {
     exec::set_num_threads(1);
     Index ser_idx(entry);
     ser_idx.build();
+    EXPECT_EQ(par_idx.memory_bytes(), ser_idx.memory_bytes()) << "w=" << w;
     Rng rng(17);
     for (int q = 0; q < 100; ++q) {
-      const Region g = random_region(rng, m, m);
+      const Region g = random_region(rng, m, w);
       const bool maxima = q % 2 == 0;
       const RegionOpt a = par_idx.submatrix_opt(maxima, g.r0, g.r1, g.c0, g.c1);
       const RegionOpt b = ser_idx.submatrix_opt(maxima, g.r0, g.r1, g.c0, g.c1);
-      const RegionOpt w = index::submatrix_direct(
+      const RegionOpt want = index::submatrix_direct(
           *entry, maxima, plan::Algo::Brute, g.r0, g.r1, g.c0, g.c1);
-      ASSERT_TRUE(same(a, b)) << "m=" << m << " threads changed index bytes: "
+      ASSERT_TRUE(same(a, b)) << "w=" << w << " threads changed index bytes: "
                               << region_str(a) << " vs " << region_str(b);
-      ASSERT_TRUE(same(a, w)) << "m=" << m << " index " << region_str(a)
-                              << " vs brute " << region_str(w);
+      ASSERT_TRUE(same(a, want)) << "w=" << w << " index " << region_str(a)
+                                 << " vs brute " << region_str(want);
     }
   }
 }
@@ -386,6 +511,50 @@ TEST_F(IndexTest, CorruptNodesDetectedRebuiltAndInvisible) {
   EXPECT_GT(detected, 0) << repro;
   EXPECT_EQ(detected, rebuilds) << repro;
   EXPECT_EQ(static_cast<std::uint64_t>(detected), injected) << repro;
+
+  // Leaf piece payloads: a region whose rows cut two adjacent leaves
+  // visits no tree node, so every flip lands in a leaf's envelopes.  Each
+  // is detected, rebuilt from the source array, and invisible.
+  for (const char* kind : {"monge", "inverse_monge"}) {
+    const auto entry = make_entry(kind, 200, 70, seed + 3);
+    Index idx(entry);
+    idx.build();
+    std::vector<Region> regions;
+    Rng rng(seed * 13 + 1);
+    for (int q = 0; q < 60; ++q) {
+      const auto b = static_cast<std::size_t>(rng.uniform_int(0, 2));
+      const std::size_t lo = b * 64;
+      const std::size_t next_hi = std::min<std::size_t>(200, lo + 128) - 1;
+      const auto r0 = static_cast<std::size_t>(rng.uniform_int(
+          static_cast<std::int64_t>(lo) + 1, static_cast<std::int64_t>(lo) + 63));
+      const auto r1 = static_cast<std::size_t>(rng.uniform_int(
+          static_cast<std::int64_t>(lo) + 64,
+          static_cast<std::int64_t>(next_hi) - 1));
+      const Region c = random_region(rng, 200, 70);
+      regions.push_back({r0, r1, c.c0, c.c1});
+    }
+    fault::arm(seed, 10000, mask);
+    std::vector<RegionOpt> answers;
+    for (std::size_t q = 0; q < regions.size(); ++q) {
+      const Region& g = regions[q];
+      answers.push_back(idx.submatrix_opt(q % 2 == 1, g.r0, g.r1, g.c0, g.c1));
+    }
+    fault::disarm();
+    const std::uint64_t flips = fault::injected(fault::Site::IndexNodeCorrupt);
+    EXPECT_GT(flips, 0u) << repro << " " << kind;
+    EXPECT_EQ(idx.corrupt_detected(), flips) << repro << " " << kind;
+    EXPECT_EQ(idx.node_rebuilds(), flips) << repro << " " << kind;
+    for (std::size_t q = 0; q < regions.size(); ++q) {
+      const Region& g = regions[q];
+      const RegionOpt want = index::submatrix_direct(
+          *entry, q % 2 == 1, plan::Algo::Brute, g.r0, g.r1, g.c0, g.c1);
+      EXPECT_TRUE(same(want, answers[q]))
+          << repro << " " << kind << " corrupted-piece answer ["
+          << g.r0 << "," << g.r1 << "]x[" << g.c0 << "," << g.c1
+          << "]: brute " << region_str(want) << " vs index "
+          << region_str(answers[q]);
+    }
+  }
 }
 
 TEST_F(IndexTest, ExplainReportsIndexRoute) {
@@ -405,10 +574,22 @@ TEST_F(IndexTest, ExplainReportsIndexRoute) {
   const Json* plan_before = before.find("result")->find("plan");
   ASSERT_NE(plan_before->find("use_index"), nullptr);
   EXPECT_FALSE(plan_before->find("use_index")->as_bool());
+  EXPECT_EQ(plan_before->find("index_predicted_us"), nullptr);
   svc.request("{\"op\":\"index_build\",\"array\":" + std::to_string(a) + "}");
   const Json after = Json::parse(svc.request(ex));
   const Json* plan_after = after.find("result")->find("plan");
   EXPECT_TRUE(plan_after->find("use_index")->as_bool());
+  // The index route reports the price prefer_index compared -- the one
+  // its actual_us should be read against -- beside the direct plan's.
+  const Json* index_price = plan_after->find("index_predicted_us");
+  ASSERT_NE(index_price, nullptr);
+  const double want_us =
+      plan::index_lookup_ns(plan::builtin_profile(),
+                            {plan::OpClass::SubmatrixSearch, 256, 256, 1}) /
+      1000.0;
+  EXPECT_DOUBLE_EQ(index_price->as_double(), want_us);
+  EXPECT_LT(index_price->as_double(),
+            plan_after->find("predicted_us")->as_double());
   // The inner outcome bytes are route-independent.
   EXPECT_EQ(before.find("result")->find("outcome")->dump(),
             after.find("result")->find("outcome")->dump());
