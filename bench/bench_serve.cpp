@@ -20,12 +20,14 @@
 //
 //   --reps N            median-of-N repetitions     (default 5)
 //   --warmup N          throwaway runs per config   (default 1)
-//   --json[=PATH]       machine-readable records    (BENCH_serve.json)
+//   --json[=PATH]       machine-readable records    (BENCH_serve.json),
+//                       stamped with host, core count and build type
 //   --trace-out[=PATH]  Chrome trace of the traced run (trace_serve.json)
 #include <cstdint>
 #include <future>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -75,6 +77,17 @@ int main(int argc, char** argv) {
   const auto warmup = static_cast<std::size_t>(cli.get_int("warmup", 1));
   auto records =
       pmonge::bench::JsonRecords::from_cli(cli, "serve", "BENCH_serve.json");
+  const std::string host = pmonge::bench::cpu_model();
+  const auto nproc =
+      static_cast<std::int64_t>(std::thread::hardware_concurrency());
+  std::cout << "host: " << host << ", nproc " << nproc << ", build "
+            << PMONGE_BUILD_TYPE << "\n";
+  const auto add_record = [&](pmonge::serve::Json::Obj r) {
+    r["host"] = host;
+    r["nproc"] = nproc;
+    r["build_type"] = PMONGE_BUILD_TYPE;
+    records.add(std::move(r));
+  };
 
   pmonge::bench::print_header("serve throughput: batched vs unbatched");
   const std::string reg = "{\"op\":\"register_random\",\"rows\":" +
@@ -126,7 +139,7 @@ int main(int argc, char** argv) {
     r["config"] = c.name;
     r["median_us"] = stats.median_ms * 1000.0;
     r["profile"] = opts.profile.id;
-    records.add(std::move(r));
+    add_record(std::move(r));
   }
   table.print(std::cout);
   std::cout << "batched/unbatched median: "
@@ -166,7 +179,7 @@ int main(int argc, char** argv) {
     r["baseline_us"] = t.off_ms * 1000.0;
     r["trace_overhead_pct"] = t.pct;
     r["profile"] = topts.profile.id;
-    records.add(std::move(r));
+    add_record(std::move(r));
     pmonge::bench::write_trace_out(cli, "trace_serve.json");
   }
 
@@ -212,7 +225,7 @@ int main(int argc, char** argv) {
     r["baseline_us"] = f.off_ms * 1000.0;
     r["fault_overhead_pct"] = f.pct;
     r["profile"] = fopts.profile.id;
-    records.add(std::move(r));
+    add_record(std::move(r));
   }
   pmonge::bench::print_header(
       "cached-hit p50: fast path off (inline path) vs on");
@@ -270,7 +283,7 @@ int main(int argc, char** argv) {
     r["median_us"] = on_us;
     r["baseline_us"] = off_us;
     r["fastpath_improvement_pct"] = improve_pct;
-    records.add(std::move(r));
+    add_record(std::move(r));
   }
   records.write();
 

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "exec/parallel.hpp"
 #include "fault/fault.hpp"
 #include "monge/smawk.hpp"
 #include "obs/trace.hpp"
+#include "support/fnv.hpp"
 
 namespace pmonge::index {
 
@@ -16,29 +16,9 @@ namespace {
 
 using DenseSub = monge::SubArray<monge::DenseArray<std::int64_t>>;
 
-/// FNV-1a over a raw byte range, folding 8-byte words and then the tail
-/// bytes.  Each step (xor, then multiply by an odd constant) is a
-/// bijection of the state, so flipping any one byte changes the hash.
-std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t n) {
-  constexpr std::uint64_t kPrime = 1099511628211ull;
-  const auto* b = static_cast<const unsigned char*>(p);
-  std::size_t i = 0;
-  for (; i + sizeof(std::uint64_t) <= n; i += sizeof(std::uint64_t)) {
-    std::uint64_t w;
-    std::memcpy(&w, b + i, sizeof w);
-    h ^= w;
-    h *= kPrime;
-  }
-  for (; i < n; ++i) {
-    h ^= b[i];
-    h *= kPrime;
-  }
-  return h;
-}
-
 template <class T>
 std::uint64_t fnv1a_vec(std::uint64_t h, const std::vector<T>& v) {
-  return fnv1a(h, v.data(), v.size() * sizeof(T));
+  return support::fnv1a(h, v.data(), v.size() * sizeof(T));
 }
 
 template <class T>
@@ -217,7 +197,7 @@ void Index::compute_colopt(bool maxima, std::size_t row_lo, std::size_t row_hi,
 }
 
 std::uint64_t Index::node_checksum(const Node& nd) {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = support::kFnvOffset;
   for (const DirData& d : nd.dir) {
     h = fnv1a_vec(h, d.tree.raw_vals());
     h = fnv1a_vec(h, d.tree.raw_cols());
@@ -228,7 +208,7 @@ std::uint64_t Index::node_checksum(const Node& nd) {
 }
 
 std::uint64_t Index::pieces_checksum(const Pieces& p) {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = support::kFnvOffset;
   for (const PieceDir& d : p.dir) {
     h = fnv1a_vec(h, d.first);
     h = fnv1a_vec(h, d.start);

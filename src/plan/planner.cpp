@@ -38,9 +38,10 @@ Plan Planner::plan(const QueryShape& shape) const {
   return p;
 }
 
-bool Planner::prefer_index(const QueryShape& shape, const Plan& direct) const {
+bool Planner::prefer_index(const QueryShape& operand,
+                           const Plan& direct) const {
   if (!enabled_) return true;
-  return index_lookup_ns(profile_, shape) < direct.predicted_us * 1000.0;
+  return index_lookup_ns(profile_, operand) < direct.predicted_us * 1000.0;
 }
 
 }  // namespace pmonge::plan

@@ -48,13 +48,15 @@ class Planner {
     return plan(shape).predicted_us;
   }
 
-  /// For a SubmatrixSearch shape with a built index available: should
-  /// the lookup go through the index rather than run `direct`, the plan
-  /// the group already holds for `shape`?  Disabled planner -> always
-  /// true (fixed dispatch uses an index whenever one exists).  Enabled
-  /// -> compare index_lookup_ns against direct's price.  Either way the
-  /// answer never changes the response bytes, only the route.
-  bool prefer_index(const QueryShape& shape, const Plan& direct) const;
+  /// For a submatrix group with a built index available: should the
+  /// lookup go through the index rather than run `direct`, the plan the
+  /// group holds for its regions?  `operand` is the indexed operand's
+  /// whole shape (batch = the group's): the nodes a lookup visits depend
+  /// on the tree, not on the region.  Disabled planner -> always true
+  /// (fixed dispatch uses an index whenever one exists).  Enabled ->
+  /// compare index_lookup_ns at `operand` against direct's price.  Either
+  /// way the answer never changes the response bytes, only the route.
+  bool prefer_index(const QueryShape& operand, const Plan& direct) const;
 
   bool enabled() const { return enabled_; }
   const CostProfile& profile() const { return profile_; }

@@ -102,9 +102,9 @@ struct Completion {
   void operator()(std::string resp) const {
     slot->resp = std::move(resp);
     slot->ready.store(true, std::memory_order_release);
-    // Answered on the loop thread itself (control ops, rejections,
-    // queries run inline): it can only be inside handle_readable's
-    // submit_cb, which pumps the connection next, so no wake-up.
+    // Answered on the loop thread itself (an `overloaded` rejection): it
+    // can only be inside handle_readable's submit_line, which pumps the
+    // connection next, so no wake-up.
     if (t_loop_wakeup == wake.get()) return;
     if (!conn->queued.exchange(true, std::memory_order_acq_rel)) {
       {
@@ -400,32 +400,34 @@ struct Server::Impl {
                        serve::make_error_response(req.id, "overloaded"));
         continue;
       }
-      // Cached-hit fast path, the line's one cache probe: no Completion,
-      // no wakeup round trip.  With nothing pending the bytes go straight
-      // into the outbound buffer; behind pending work they ride a ready
-      // slot, which keeps per-connection FIFO order.
+      // The line's one service call.  An answer made during the call (a
+      // cached hit, a control op, a rejection, a query run inline) needs
+      // no Completion and no wake-up: with nothing pending it goes
+      // straight into the outbound buffer, and behind pending work it
+      // rides a ready slot, which keeps per-connection FIFO order.  Only
+      // a line that queues gets a Slot and a Completion.
+      const auto queued = [&]() -> serve::Service::ResponseCallback {
+        auto slot = std::make_shared<Slot>();
+        conn->pending.push_back(slot);
+        return Completion{wakeup, conn, std::move(slot)};
+      };
       if (conn->pending.empty()) {
-        if (service.try_serve_fast(line, conn->outbound)) {
+        if (service.submit_line(line, conn->outbound, allowance, queued)) {
           conn->outbound += '\n';
           stats.responses_out.fetch_add(1, std::memory_order_relaxed);
-          continue;
         }
-      } else if (std::string resp; service.try_serve_fast(line, resp)) {
+      } else if (std::string resp;
+                 service.submit_line(line, resp, allowance, queued)) {
         local_response(conn, std::move(resp));
-        continue;
       }
-      auto slot = std::make_shared<Slot>();
-      conn->pending.push_back(slot);
-      service.submit_cb(std::move(line),
-                        Completion{wakeup, conn, std::move(slot)}, allowance);
     }
     pump(conn);
   }
 
-  /// Answer a framed line without a service round trip (oversized /
-  /// overload rejections, cached hits behind pending work).  Goes through
-  /// the pending FIFO so ordering relative to in-flight requests is
-  /// preserved.
+  /// Answer a framed line without a wake-up (oversized / overload
+  /// rejections, answers made during submit_line behind pending work).
+  /// Goes through the pending FIFO so ordering relative to in-flight
+  /// requests is preserved.
   void local_response(const std::shared_ptr<Conn>& conn, std::string resp) {
     auto slot = std::make_shared<Slot>();
     slot->resp = std::move(resp);

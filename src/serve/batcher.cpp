@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <map>
 #include <optional>
 #include <thread>
 #include <tuple>
@@ -23,6 +22,7 @@
 #include "par/monge_rowminima.hpp"
 #include "par/staircase_rowminima.hpp"
 #include "par/tube_maxima.hpp"
+#include "support/fmt.hpp"
 
 namespace pmonge::serve {
 
@@ -55,60 +55,93 @@ void set_ok(BatchOutcome& out, const Json& result) {
 }
 
 /// Mark every member that has no outcome yet with a group-level error.
-void fail_unanswered(std::vector<Member>& members, const std::string& why) {
+void fail_unanswered(std::span<Member> members, const std::string& why) {
   for (Member& m : members) {
     if (!m.out->ok && m.out->error.empty()) set_error(*m.out, why);
   }
 }
 
-std::int64_t int_field_or(const Json& body, const std::string& key,
+std::int64_t int_field_or(const Request& req, const char* key,
                           std::int64_t def) {
-  const Json* p = body.find(key);
-  return p == nullptr ? def : p->as_int();
+  const Field f = req.find(key);
+  return f.present() ? f.as_int() : def;
 }
 
 /// The array id an operand field names, for group keys and lookups: an
 /// unused operand slot (null key) or a missing or malformed field maps
 /// to -1 here; the handler re-validates and produces the member error.
-std::int64_t operand_id(const Json& body, const char* key) {
-  const Json* p = key == nullptr ? nullptr : body.find(key);
-  if (p == nullptr || p->type() != Json::Type::Int) return -1;
-  return p->as_int();
+std::int64_t operand_id(const Request& req, const char* key) {
+  const Field f = key == nullptr ? Field() : req.find(key);
+  return f.is_int() ? f.as_int() : -1;
 }
 
 /// Non-negative index field, checked against an exclusive bound.
-std::size_t index_field(const Json& body, const std::string& key,
-                        std::size_t bound, const char* what) {
-  const std::int64_t v = body.at(key).as_int();
+std::size_t index_field(const Request& req, const char* key,
+                        std::size_t bound) {
+  const std::int64_t v = req.at(key).as_int();
   if (v < 0 || static_cast<std::size_t>(v) >= bound) {
-    throw JsonError(std::string("bad_request: ") + what + " out of range");
+    throw JsonError(std::string("bad_request: ") + key + " out of range");
   }
   return static_cast<std::size_t>(v);
 }
 
-Json rowopt_result(const RowOpt<std::int64_t>& r) {
-  Json::Obj o;
+// Result writers: the bytes Json::dump gives for the same object (keys
+// in sorted order), appended straight into the outcome.
+
+void set_row_result(BatchOutcome& out, const RowOpt<std::int64_t>& r) {
+  out.ok = true;
+  std::string& s = out.result;
+  s.clear();
   if (r.col == kNoCol) {
-    o["col"] = -1;
-    o["value"] = nullptr;
-  } else {
-    o["col"] = static_cast<std::int64_t>(r.col);
-    o["value"] = r.value;
+    s += "{\"col\":-1,\"value\":null}";
+    return;
   }
-  return Json(std::move(o));
+  s += "{\"col\":";
+  support::append_int(s, static_cast<std::int64_t>(r.col));
+  s += ",\"value\":";
+  support::append_int(s, r.value);
+  s.push_back('}');
+}
+
+void set_region_result(BatchOutcome& out, const index::RegionOpt& r) {
+  out.ok = true;
+  std::string& s = out.result;
+  s.clear();
+  if (!r.has) {
+    s += "{\"col\":-1,\"row\":-1,\"value\":null}";
+    return;
+  }
+  s += "{\"col\":";
+  support::append_int(s, static_cast<std::int64_t>(r.col));
+  s += ",\"row\":";
+  support::append_int(s, static_cast<std::int64_t>(r.row));
+  s += ",\"value\":";
+  support::append_int(s, r.value);
+  s.push_back('}');
+}
+
+void set_tube_result(BatchOutcome& out, std::int64_t value, std::size_t j) {
+  out.ok = true;
+  std::string& s = out.result;
+  s.clear();
+  s += "{\"j\":";
+  support::append_int(s, static_cast<std::int64_t>(j));
+  s += ",\"value\":";
+  support::append_int(s, value);
+  s.push_back('}');
 }
 
 /// Resolve a registered array or record a per-member error.
-std::shared_ptr<const ArrayEntry> resolve(Registry& reg, const Json& body,
-                                          const std::string& key,
+std::shared_ptr<const ArrayEntry> resolve(const Registry& reg,
+                                          const Request& req, const char* key,
                                           BatchOutcome& out) {
-  const Json* p = body.find(key);
-  if (p == nullptr || p->type() != Json::Type::Int) {
-    set_error(out, "bad_request: missing or non-integer field \"" + key +
-                       "\"");
+  const Field f = req.find(key);
+  if (!f.is_int()) {
+    set_error(out, std::string("bad_request: missing or non-integer field \"") +
+                       key + "\"");
     return nullptr;
   }
-  const std::int64_t id = p->as_int();
+  const std::int64_t id = f.as_int();
   std::shared_ptr<const ArrayEntry> entry =
       id < 0 ? nullptr : reg.get(static_cast<std::uint64_t>(id));
   if (entry == nullptr) {
@@ -122,7 +155,7 @@ std::shared_ptr<const ArrayEntry> resolve(Registry& reg, const Json& body,
 // throws across the job boundary.
 // ---------------------------------------------------------------------------
 
-void run_row_group(std::vector<Member>& members,
+void run_row_group(std::span<Member> members,
                    const std::shared_ptr<const ArrayEntry>& entry, bool maxima,
                    pram::Model model, ServiceMetrics& metrics,
                    const plan::Plan& pl) {
@@ -135,8 +168,7 @@ void run_row_group(std::vector<Member>& members,
   std::vector<std::pair<std::size_t, Member*>> live;  // row -> member
   for (Member& m : members) {
     try {
-      const std::size_t row =
-          index_field(m.req->body, "row", entry->data.rows(), "row");
+      const std::size_t row = index_field(*m.req, "row", entry->data.rows());
       rows.push_back(row);
       live.emplace_back(row, &m);
     } catch (const JsonError& e) {
@@ -192,12 +224,11 @@ void run_row_group(std::vector<Member>& members,
   }
   for (auto& [row, m] : live) {
     const auto it = std::lower_bound(rows.begin(), rows.end(), row);
-    set_ok(*m->out, rowopt_result(res[static_cast<std::size_t>(
-                        it - rows.begin())]));
+    set_row_result(*m->out, res[static_cast<std::size_t>(it - rows.begin())]);
   }
 }
 
-void run_staircase_group(std::vector<Member>& members,
+void run_staircase_group(std::span<Member> members,
                          const std::shared_ptr<const ArrayEntry>& entry,
                          bool maxima, pram::Model model,
                          ServiceMetrics& metrics, const plan::Plan& pl) {
@@ -209,8 +240,7 @@ void run_staircase_group(std::vector<Member>& members,
   std::vector<std::pair<std::size_t, Member*>> live;
   for (Member& m : members) {
     try {
-      const std::size_t row =
-          index_field(m.req->body, "row", entry->data.rows(), "row");
+      const std::size_t row = index_field(*m.req, "row", entry->data.rows());
       rows.push_back(row);
       live.emplace_back(row, &m);
     } catch (const JsonError& e) {
@@ -257,23 +287,8 @@ void run_staircase_group(std::vector<Member>& members,
   }
   for (auto& [row, m] : live) {
     const auto it = std::lower_bound(rows.begin(), rows.end(), row);
-    set_ok(*m->out, rowopt_result(res[static_cast<std::size_t>(
-                        it - rows.begin())]));
+    set_row_result(*m->out, res[static_cast<std::size_t>(it - rows.begin())]);
   }
-}
-
-Json region_result(const index::RegionOpt& r) {
-  Json::Obj o;
-  if (!r.has) {
-    o["value"] = nullptr;
-    o["row"] = -1;
-    o["col"] = -1;
-  } else {
-    o["value"] = r.value;
-    o["row"] = static_cast<std::int64_t>(r.row);
-    o["col"] = static_cast<std::int64_t>(r.col);
-  }
-  return Json(std::move(o));
 }
 
 /// Submatrix min/max over a registered array.  With `idx` set, every
@@ -281,7 +296,7 @@ Json region_result(const index::RegionOpt& r) {
 /// direct sub-block solver under the planned algorithm.  Both paths
 /// reduce candidates under the same total order (value, leftmost col,
 /// topmost row), so the route never shows in the response bytes.
-void run_submatrix_group(std::vector<Member>& members,
+void run_submatrix_group(std::span<Member> members,
                          const std::shared_ptr<const ArrayEntry>& entry,
                          const std::shared_ptr<index::Index>& idx,
                          bool maxima, const plan::Plan& pl) {
@@ -289,15 +304,11 @@ void run_submatrix_group(std::vector<Member>& members,
   kspan.set_detail(idx != nullptr ? "index" : plan::algo_name(pl.algo));
   for (Member& m : members) {
     try {
-      const Json& b = m.req->body;
-      const std::size_t r0 =
-          index_field(b, "r0", entry->data.rows(), "r0");
-      const std::size_t r1 =
-          index_field(b, "r1", entry->data.rows(), "r1");
-      const std::size_t c0 =
-          index_field(b, "c0", entry->data.cols(), "c0");
-      const std::size_t c1 =
-          index_field(b, "c1", entry->data.cols(), "c1");
+      const Request& q = *m.req;
+      const std::size_t r0 = index_field(q, "r0", entry->data.rows());
+      const std::size_t r1 = index_field(q, "r1", entry->data.rows());
+      const std::size_t c0 = index_field(q, "c0", entry->data.cols());
+      const std::size_t c1 = index_field(q, "c1", entry->data.cols());
       if (r1 < r0) throw JsonError("bad_request: r1 < r0");
       if (c1 < c0) throw JsonError("bad_request: c1 < c0");
       const index::RegionOpt r =
@@ -305,14 +316,14 @@ void run_submatrix_group(std::vector<Member>& members,
               ? idx->submatrix_opt(maxima, r0, r1, c0, c1)
               : index::submatrix_direct(*entry, maxima, pl.algo, r0, r1,
                                         c0, c1);
-      set_ok(*m.out, region_result(r));
+      set_region_result(*m.out, r);
     } catch (const JsonError& e) {
       set_error(*m.out, e.what());
     }
   }
 }
 
-void run_tube_group(std::vector<Member>& members,
+void run_tube_group(std::span<Member> members,
                     const std::shared_ptr<const ArrayEntry>& d,
                     const std::shared_ptr<const ArrayEntry>& e, bool maxima,
                     pram::Model model, ServiceMetrics& metrics,
@@ -331,8 +342,8 @@ void run_tube_group(std::vector<Member>& members,
   for (Member& m : members) {
     try {
       par::TubeQuery q;
-      q.i = index_field(m.req->body, "i", d->data.rows(), "i");
-      q.k = index_field(m.req->body, "k", e->data.cols(), "k");
+      q.i = index_field(*m.req, "i", d->data.rows());
+      q.k = index_field(*m.req, "k", e->data.cols());
       qs.push_back(q);
       live.push_back(&m);
     } catch (const JsonError& ex) {
@@ -357,10 +368,7 @@ void run_tube_group(std::vector<Member>& members,
           bestj = j;
         }
       }
-      Json::Obj o;
-      o["value"] = best;
-      o["j"] = static_cast<std::int64_t>(bestj);
-      set_ok(*live[t]->out, Json(std::move(o)));
+      set_tube_result(*live[t]->out, best, bestj);
     }
     return;
   }
@@ -369,44 +377,48 @@ void run_tube_group(std::vector<Member>& members,
                     : par::tube_minima_points(mach, d->data, e->data, qs);
   charge(metrics, mach, kspan);
   for (std::size_t t = 0; t < live.size(); ++t) {
-    Json::Obj o;
-    o["value"] = res[t].value;
-    o["j"] = static_cast<std::int64_t>(res[t].j);
-    set_ok(*live[t]->out, Json(std::move(o)));
+    set_tube_result(*live[t]->out, res[t].value, res[t].j);
   }
 }
 
 /// String edit has one route, the Wagner-Fischer DP (plan/cost_model.hpp),
 /// run for its cost alone in one rolling row: a request's memory grows
 /// with |y|, not with |x| * |y|.
-void run_edit_group(std::vector<Member>& members) {
+void run_edit_group(std::span<Member> members) {
   obs::Span kspan("serve.kernel");
   kspan.set_detail(plan::algo_name(plan::Algo::Brute));
+  std::string x, y, scratch;
   for (Member& m : members) {
     try {
-      const Json& b = m.req->body;
+      const Request& q = *m.req;
       apps::EditCosts costs;
-      costs.ins = int_field_or(b, "ins", 1);
-      costs.del = int_field_or(b, "del", 1);
-      costs.sub = int_field_or(b, "sub", 1);
-      Json::Obj o;
-      o["cost"] = apps::edit_distance_cost(b.at("x").as_string(),
-                                           b.at("y").as_string(), costs);
-      set_ok(*m.out, Json(std::move(o)));
+      costs.ins = int_field_or(q, "ins", 1);
+      costs.del = int_field_or(q, "del", 1);
+      costs.sub = int_field_or(q, "sub", 1);
+      // y before x: a request missing or mistyping both answers y's error.
+      y.assign(q.at("y").as_string(scratch));
+      x.assign(q.at("x").as_string(scratch));
+      std::string& s = m.out->result;
+      s.clear();
+      s += "{\"cost\":";
+      support::append_int(s, apps::edit_distance_cost(x, y, costs));
+      s.push_back('}');
+      m.out->ok = true;
     } catch (const JsonError& e) {
       set_error(*m.out, e.what());
     }
   }
 }
 
-void run_largest_rect_group(std::vector<Member>& members, pram::Model model,
+void run_largest_rect_group(std::span<Member> members, pram::Model model,
                             ServiceMetrics& metrics) {
   std::vector<std::vector<apps::IPoint>> instances;
   std::vector<Member*> live;
   for (Member& m : members) {
     try {
       std::vector<apps::IPoint> pts;
-      for (const Json& p : m.req->body.at("points").arr()) {
+      const Json points = m.req->at("points").parse();
+      for (const Json& p : points.arr()) {
         const auto& xy = p.arr();
         if (xy.size() != 2) throw JsonError("bad_request: point is not [x,y]");
         pts.push_back({xy[0].as_int(), xy[1].as_int()});
@@ -435,7 +447,7 @@ void run_largest_rect_group(std::vector<Member>& members, pram::Model model,
   }
 }
 
-void run_empty_rect_group(std::vector<Member>& members, pram::Model model,
+void run_empty_rect_group(std::span<Member> members, pram::Model model,
                           ServiceMetrics& metrics) {
   obs::Span kspan("serve.kernel");
   kspan.set_detail("parallel");
@@ -444,12 +456,14 @@ void run_empty_rect_group(std::vector<Member>& members, pram::Model model,
                                              pram::Machine& sub) {
     Member& m = members[t];
     try {
-      const auto& b = m.req->body.at("bound").arr();
+      const Json bound_json = m.req->at("bound").parse();
+      const auto& b = bound_json.arr();
       if (b.size() != 4) throw JsonError("bad_request: bound is not [x1,y1,x2,y2]");
       apps::Rect bound{b[0].as_double(), b[1].as_double(), b[2].as_double(),
                        b[3].as_double()};
       std::vector<apps::DPoint> pts;
-      for (const Json& p : m.req->body.at("points").arr()) {
+      const Json points = m.req->at("points").parse();
+      for (const Json& p : points.arr()) {
         const auto& xy = p.arr();
         if (xy.size() != 2) throw JsonError("bad_request: point is not [x,y]");
         pts.push_back({xy[0].as_double(), xy[1].as_double()});
@@ -484,7 +498,7 @@ apps::NeighborKind parse_neighbor_kind(const std::string& s) {
   throw JsonError("bad_request: unknown neighbor kind \"" + s + "\"");
 }
 
-void run_polygon_group(std::vector<Member>& members, pram::Model model,
+void run_polygon_group(std::span<Member> members, pram::Model model,
                        ServiceMetrics& metrics) {
   obs::Span kspan("serve.kernel");
   kspan.set_detail("parallel");
@@ -495,7 +509,8 @@ void run_polygon_group(std::vector<Member>& members, pram::Model model,
     try {
       auto parse_poly = [&](const char* key) {
         std::vector<geom::Point> v;
-        for (const Json& p : m.req->body.at(key).arr()) {
+        const Json vertices = m.req->at(key).parse();
+        for (const Json& p : vertices.arr()) {
           const auto& xy = p.arr();
           if (xy.size() != 2) throw JsonError("bad_request: vertex is not [x,y]");
           v.push_back({xy[0].as_double(), xy[1].as_double()});
@@ -504,7 +519,9 @@ void run_polygon_group(std::vector<Member>& members, pram::Model model,
       };
       const geom::ConvexPolygon P = parse_poly("p");
       const geom::ConvexPolygon Q = parse_poly("q");
-      const auto kind = parse_neighbor_kind(m.req->body.at("kind").as_string());
+      std::string scratch;
+      const auto kind =
+          parse_neighbor_kind(std::string(m.req->at("kind").as_string(scratch)));
       const auto res = apps::neighbors_par(sub, P, Q, kind);
       Json::Arr neighbor, distance;
       for (std::size_t i = 0; i < res.neighbor.size(); ++i) {
@@ -533,45 +550,78 @@ void run_polygon_group(std::vector<Member>& members, pram::Model model,
 
 /// Ids of the registered arrays `req` reads -- the cache-entry tags that
 /// unregister invalidates.
-std::vector<std::uint64_t> result_tags(const Request& req) {
-  std::vector<std::uint64_t> tags;
+CacheTags result_tags(const Request& req) {
+  CacheTags tags;
   for (const char* key : {"array", "d", "e"}) {
-    const Json* p = req.body.find(key);
-    if (p != nullptr && p->type() == Json::Type::Int && p->as_int() >= 0) {
-      tags.push_back(static_cast<std::uint64_t>(p->as_int()));
+    const Field f = req.find(key);
+    if (f.is_int() && f.as_int() >= 0) {
+      tags.add(static_cast<std::uint64_t>(f.as_int()));
     }
   }
   return tags;
 }
 
+/// A submatrix query's region into `s`, when its fields are integers
+/// naming a non-empty region of `e`.
+bool region_shape(const Request& req, const ArrayEntry& e,
+                  plan::QueryShape& s) {
+  std::int64_t v[4];
+  const char* const keys[4] = {"r0", "r1", "c0", "c1"};
+  for (int i = 0; i < 4; ++i) {
+    const Field f = req.find(keys[i]);
+    if (!f.is_int()) return false;
+    v[i] = f.as_int();
+  }
+  const auto rows = static_cast<std::int64_t>(e.data.rows());
+  const auto cols = static_cast<std::int64_t>(e.data.cols());
+  if (v[0] < 0 || v[1] < v[0] || v[1] >= rows || v[2] < 0 || v[3] < v[2] ||
+      v[3] >= cols) {
+    return false;
+  }
+  s.rows = static_cast<std::size_t>(v[1] - v[0] + 1);
+  s.cols = static_cast<std::size_t>(v[3] - v[2] + 1);
+  return true;
+}
+
+/// The shape an index lookup is priced at: the operand's, whatever the
+/// region, since the nodes a lookup visits depend on the tree.
+plan::QueryShape index_shape(const ArrayEntry& operand, std::size_t batch) {
+  return {plan::OpClass::SubmatrixSearch, operand.data.rows(),
+          operand.data.cols(), batch};
+}
+
 }  // namespace
 
-plan::QueryShape query_shape(const Request& req, Registry& reg) {
+Operands resolve_operands(const Request& req, const Registry& reg) {
+  Operands ops;
+  const OpSpec& spec = op_spec(req.op);
+  for (std::size_t k = 0; k < ops.size() && spec.operands[k] != nullptr; ++k) {
+    const std::int64_t id = operand_id(req, spec.operands[k]);
+    if (id >= 0) ops[k] = reg.get(static_cast<std::uint64_t>(id));
+  }
+  return ops;
+}
+
+plan::QueryShape query_shape(const Request& req, const ArrayEntry* operand) {
   const OpSpec& spec = op_spec(req.op);
   plan::QueryShape s{spec.op_class, 0, 0, 1};
-  const Json& b = req.body;
   if (spec.operands[0] != nullptr) {
-    const std::int64_t id = operand_id(b, spec.operands[0]);
-    if (const auto e =
-            id < 0 ? nullptr : reg.get(static_cast<std::uint64_t>(id))) {
-      s.rows = e->data.rows();
-      s.cols = e->data.cols();
+    if (operand == nullptr) return s;
+    if (spec.op_class != plan::OpClass::SubmatrixSearch ||
+        !region_shape(req, *operand, s)) {
+      s.rows = operand->data.rows();
+      s.cols = operand->data.cols();
     }
   } else if (spec.op_class == plan::OpClass::EditDistance) {
-    const Json* x = b.find("x");
-    const Json* y = b.find("y");
-    if (x != nullptr && x->type() == Json::Type::String) {
-      s.rows = x->as_string().size();
-    }
-    if (y != nullptr && y->type() == Json::Type::String) {
-      s.cols = y->as_string().size();
-    }
+    std::string scratch;
+    const Field x = req.find("x");
+    const Field y = req.find("y");
+    if (x.raw().starts_with('"')) s.rows = x.as_string(scratch).size();
+    if (y.raw().starts_with('"')) s.cols = y.as_string(scratch).size();
   } else {
     for (const char* key : {"points", "p", "q"}) {
-      const Json* p = b.find(key);
-      if (p != nullptr && p->type() == Json::Type::Array) {
-        s.rows += p->arr().size();
-      }
+      const Field f = req.find(key);
+      if (f.raw().starts_with('[')) s.rows += f.parse().arr().size();
     }
   }
   return s;
@@ -625,7 +675,7 @@ void Batcher::note_group_done(bool degraded) {
   breaker_budget_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void Batcher::dispatch_group(std::vector<Member>& ms) {
+void Batcher::dispatch_group(std::span<Member> ms) {
   // Retry budget: the tightest member deadline, further tightened by the
   // optional per-op timeout.  Attempts never sleep past it.
   ServeClock::time_point deadline = kNoDeadline;
@@ -696,18 +746,21 @@ void Batcher::dispatch_group(std::vector<Member>& ms) {
 }
 
 std::shared_ptr<index::Index> Batcher::index_for(
-    const Request& req, const plan::QueryShape& shape,
-    const plan::Plan& direct) const {
+    const Request& req, const ArrayEntry& operand,
+    const plan::QueryShape& shape, const plan::Plan& direct) const {
   // Route through the index only when one exists for the operand and the
-  // planner predicts the O(lg m) lookups beat `direct`, the group's plan
-  // (docs/indexing.md).
-  const std::int64_t id = operand_id(req.body, op_spec(req.op).operands[0]);
+  // planner predicts its O(lg m) lookups beat `direct`, the group's plan
+  // at its region (docs/indexing.md).
+  const std::int64_t id = operand_id(req, op_spec(req.op).operands[0]);
   auto idx = id < 0 ? nullptr : indexes_.get(static_cast<std::uint64_t>(id));
-  return idx != nullptr && planner_.prefer_index(shape, direct) ? idx
-                                                                : nullptr;
+  return idx != nullptr &&
+                 planner_.prefer_index(index_shape(operand, shape.batch),
+                                       direct)
+             ? idx
+             : nullptr;
 }
 
-void Batcher::dispatch_group_once(std::vector<Member>& ms, bool degraded) {
+void Batcher::dispatch_group_once(std::span<Member> ms, bool degraded) {
   const Request& front = *ms.front().req;
   const OpSpec& spec = op_spec(front.op);
   // Group-level spans (and the plan/kernel spans they enclose) carry a
@@ -724,28 +777,27 @@ void Batcher::dispatch_group_once(std::vector<Member>& ms, bool degraded) {
   std::optional<exec::SerialScope> serial;
   if (degraded) serial.emplace();
   try {
-    // The group key fixed the registered operands; resolve them once.
-    std::array<std::shared_ptr<const ArrayEntry>, 2> arrays;
+    // The group key fixed the registered operands; resolve them once (an
+    // inline request brings them resolved from admission).
+    Operands arrays;
+    if (ms.front().operands != nullptr) arrays = *ms.front().operands;
     for (std::size_t k = 0; k < 2 && spec.operands[k] != nullptr; ++k) {
-      arrays[k] = resolve(registry_, front.body, spec.operands[k],
-                          *ms.front().out);
+      if (arrays[k] == nullptr) {
+        arrays[k] =
+            resolve(registry_, front, spec.operands[k], *ms.front().out);
+      }
       if (arrays[k] == nullptr) {
         fail_unanswered(ms, ms.front().out->error);
         return;
       }
     }
-    // The group's shape: its operand's, or the largest member's inline
-    // operands.
+    // The group's shape: its largest member's (a submatrix query's
+    // region, another op's operand or inline operands), batch = members.
     plan::QueryShape shape{spec.op_class, 0, 0, ms.size()};
-    if (arrays[0] != nullptr) {
-      shape.rows = arrays[0]->data.rows();
-      shape.cols = arrays[0]->data.cols();
-    } else {
-      for (const Member& m : ms) {
-        const plan::QueryShape one = query_shape(*m.req, registry_);
-        shape.rows = std::max(shape.rows, one.rows);
-        shape.cols = std::max(shape.cols, one.cols);
-      }
+    for (const Member& m : ms) {
+      const plan::QueryShape one = query_shape(*m.req, arrays[0].get());
+      shape.rows = std::max(shape.rows, one.rows);
+      shape.cols = std::max(shape.cols, one.cols);
     }
     const plan::Plan pl = plan_for(shape, degraded);
     metrics_.plans(pl.algo).add();
@@ -762,9 +814,10 @@ void Batcher::dispatch_group_once(std::vector<Member>& ms, bool degraded) {
       case Op::SubmatrixMax:
         // The degraded path (breaker open) stays on the direct sequential
         // solver -- same bytes either way, so the route is free to vary.
-        run_submatrix_group(ms, arrays[0],
-                            degraded ? nullptr : index_for(front, shape, pl),
-                            spec.maxima, pl);
+        run_submatrix_group(
+            ms, arrays[0],
+            degraded ? nullptr : index_for(front, *arrays[0], shape, pl),
+            spec.maxima, pl);
         break;
       case Op::TubeMax:
       case Op::TubeMin:
@@ -794,14 +847,14 @@ void Batcher::dispatch_group_once(std::vector<Member>& ms, bool degraded) {
 }
 
 void Batcher::run_explain(const Request& req, BatchOutcome& out) {
-  const Json* q = req.body.find("query");
-  if (q == nullptr || q->type() != Json::Type::Object) {
+  const Field q = req.find("query");
+  if (!q.raw().starts_with('{')) {
     set_error(out, "bad_request: explain requires an object field \"query\"");
     return;
   }
   Request inner;
   try {
-    inner = parse_request(q->dump());
+    inner = parse_request(std::string(q.raw()));
   } catch (const JsonError& e) {
     set_error(out, e.what());
     return;
@@ -813,7 +866,8 @@ void Batcher::run_explain(const Request& req, BatchOutcome& out) {
     return;
   }
 
-  const plan::QueryShape shape = query_shape(inner, registry_);
+  const Operands ops = resolve_operands(inner, registry_);
+  const plan::QueryShape shape = query_shape(inner, ops[0].get());
   const plan::Plan pl = planner_.plan(shape);
 
   // One uncached run of the inner query, timed.  explain is
@@ -821,7 +875,7 @@ void Batcher::run_explain(const Request& req, BatchOutcome& out) {
   // cache, and the inner bytes it reports are the same bytes the plain
   // query produces.
   BatchOutcome sub;
-  std::vector<Member> ms{Member{&inner, &sub}};
+  Member ms[1] = {Member{&inner, &sub}};
   const auto t0 = std::chrono::steady_clock::now();
   dispatch_group(ms);
   const auto t1 = std::chrono::steady_clock::now();
@@ -849,11 +903,13 @@ void Batcher::run_explain(const Request& req, BatchOutcome& out) {
     // Whether the non-degraded dispatch would route through the index,
     // and then the index price prefer_index weighed against
     // predicted_us: actual_us times the index route.
-    const bool use_index = index_for(inner, shape, pl) != nullptr;
+    const bool use_index =
+        ops[0] != nullptr && index_for(inner, *ops[0], shape, pl) != nullptr;
     plan_o["use_index"] = use_index;
     if (use_index) {
       plan_o["index_predicted_us"] =
-          plan::index_lookup_ns(planner_.profile(), shape) / 1000.0;
+          plan::index_lookup_ns(planner_.profile(), index_shape(*ops[0], 1)) /
+          1000.0;
     }
   }
   plan_o["shape"] = Json(std::move(shape_o));
@@ -882,46 +938,86 @@ ResilienceSnapshot Batcher::resilience() const {
   return s;
 }
 
-std::vector<BatchOutcome> Batcher::run(
-    std::span<const Request> reqs,
-    std::span<const ServeClock::time_point> deadlines) {
-  std::vector<BatchOutcome> out(reqs.size());
+namespace {
+
+using GroupKey = std::tuple<Op, std::int64_t, std::int64_t, std::size_t>;
+
+/// run()'s bookkeeping, kept per thread so that a warm run allocates
+/// none of it.  run() never re-enters on one thread: pool chunks run
+/// dispatch_group and kernels, never run().
+struct RunScratch {
+  std::vector<std::size_t> misses;  // request order
+  std::vector<std::pair<GroupKey, Member>> keyed;
+  std::vector<Member> members;  // the misses, grouped
+  std::vector<std::span<Member>> groups, pending, untouched;
+  std::vector<std::function<void()>> jobs;
+};
+
+RunScratch& run_scratch() {
+  thread_local RunScratch scratch;
+  return scratch;
+}
+
+}  // namespace
+
+void Batcher::run(std::span<const Request> reqs,
+                  std::span<const ServeClock::time_point> deadlines,
+                  std::span<BatchOutcome> out,
+                  std::span<const Admitted> admitted) {
+  RunScratch& s = run_scratch();
+  s.misses.clear();
+  s.keyed.clear();
 
   // Cache pass: answered hits never reach a group.  explain requests
   // bypass the cache entirely (their payload embeds a measured time).
-  std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    if (reqs[i].op == Op::Explain) {
-      run_explain(reqs[i], out[i]);
+    const Request& r = reqs[i];
+    BatchOutcome& o = out[i];
+    o.ok = false;
+    o.result.clear();
+    o.error.clear();
+    if (r.op == Op::Explain) {
+      run_explain(r, o);
       continue;
     }
     if (cache_.enabled()) {
-      if (auto hit = cache_.get(reqs[i].signature)) {
-        out[i].ok = true;
-        out[i].result = std::move(*hit);
-        metrics_.endpoint(reqs[i].op).cache_hits.add();
+      EndpointMetrics& em = metrics_.endpoint(r.op);
+      if (!admitted.empty() && admitted[i].probe_missed) {
+        cache_.count_miss(r.hash);  // probed once already, at admission
+        em.cache_misses.add();
+      } else if (cache_.get(r.signature, r.hash, o.result)) {
+        o.ok = true;
+        em.cache_hits.add();
         continue;
+      } else {
+        em.cache_misses.add();
       }
-      metrics_.endpoint(reqs[i].op).cache_misses.add();
     }
-    misses.push_back(i);
+    s.misses.push_back(i);
+    // The group key -- op, operand ids, and with coalescing off the
+    // request's own index -- fixes everything a handler dispatches on;
+    // with coalescing off every request is its own group (same code
+    // path, so responses cannot depend on the toggle).
+    const OpSpec& spec = op_spec(r.op);
+    s.keyed.emplace_back(
+        GroupKey{r.op, operand_id(r, spec.operands[0]),
+                 operand_id(r, spec.operands[1]), coalesce_ ? 0 : i},
+        Member{&r, &o, deadlines.empty() ? kNoDeadline : deadlines[i],
+               admitted.empty() ? nullptr : &admitted[i].operands});
   }
 
-  // Group the misses.  The key -- op, operand ids, and with coalescing off
-  // the request's own index -- fixes everything a handler dispatches on;
-  // with coalescing off every request is its own group (same code path,
-  // so responses cannot depend on the toggle).
-  using GroupKey = std::tuple<Op, std::int64_t, std::int64_t, std::size_t>;
-  std::map<GroupKey, std::vector<Member>> groups;
-  for (const std::size_t i : misses) {
-    const Request& r = reqs[i];
-    const OpSpec& spec = op_spec(r.op);
-    const GroupKey key{r.op, operand_id(r.body, spec.operands[0]),
-                       operand_id(r.body, spec.operands[1]),
-                       coalesce_ ? 0 : i};
-    groups[key].push_back(
-        Member{&reqs[i], &out[i],
-               deadlines.empty() ? kNoDeadline : deadlines[i]});
+  // Group the misses: sorted by key, members of a group in request order.
+  std::sort(s.keyed.begin(), s.keyed.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.first, a.second.req) < std::tie(b.first, b.second.req);
+  });
+  s.members.clear();
+  s.groups.clear();
+  for (const auto& [key, m] : s.keyed) s.members.push_back(m);
+  for (std::size_t i = 0; i < s.keyed.size();) {
+    std::size_t j = i + 1;
+    while (j < s.keyed.size() && s.keyed[j].first == s.keyed[i].first) ++j;
+    s.groups.emplace_back(s.members.data() + i, j - i);
+    i = j;
   }
 
   // One engine submission for the whole batch; dispatch_group never
@@ -930,34 +1026,31 @@ std::vector<BatchOutcome> Batcher::run(
   // case that group is completely untouched (a group is all-answered or
   // untouched, never partial).  Resubmit the untouched groups, bounded
   // by max_retries.
-  std::vector<std::vector<Member>*> pending;
-  pending.reserve(groups.size());
-  for (auto& [key, members_ref] : groups) pending.push_back(&members_ref);
-  for (std::size_t attempt = 0; !pending.empty(); ++attempt) {
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(pending.size());
-    for (std::vector<Member>* members : pending) {
-      jobs.push_back([this, members] { dispatch_group(*members); });
+  s.pending.assign(s.groups.begin(), s.groups.end());
+  for (std::size_t attempt = 0; !s.pending.empty(); ++attempt) {
+    s.jobs.clear();
+    for (std::span<Member>& g : s.pending) {
+      s.jobs.emplace_back([this, &g] { dispatch_group(g); });
     }
     try {
-      exec::parallel_jobs(jobs);
+      exec::parallel_jobs(s.jobs);
       break;
     } catch (const fault::InjectedFault& f) {
-      std::vector<std::vector<Member>*> untouched;
-      for (std::vector<Member>* members : pending) {
+      s.untouched.clear();
+      for (const std::span<Member> g : s.pending) {
         const bool unanswered =
-            std::any_of(members->begin(), members->end(), [](const Member& m) {
+            std::any_of(g.begin(), g.end(), [](const Member& m) {
               return !m.out->ok && m.out->error.empty();
             });
-        if (unanswered) untouched.push_back(members);
+        if (unanswered) s.untouched.push_back(g);
       }
-      pending = std::move(untouched);
-      if (pending.empty()) break;
+      s.pending.swap(s.untouched);
+      if (s.pending.empty()) break;
       if (attempt >= res_.max_retries) {
-        for (std::vector<Member>* members : pending) {
-          fail_unanswered(*members, std::string("fault_injected: ") +
-                                        fault::site_name(f.site) +
-                                        " at batch dispatch");
+        for (const std::span<Member> g : s.pending) {
+          fail_unanswered(g, std::string("fault_injected: ") +
+                                 fault::site_name(f.site) +
+                                 " at batch dispatch");
           fault_errors_.fetch_add(1, std::memory_order_relaxed);
         }
         break;
@@ -966,17 +1059,17 @@ std::vector<BatchOutcome> Batcher::run(
     }
   }
 
-  // Memoize fresh successes under their signatures, tagged with the
-  // array ids they read so unregister can invalidate them.
+  // Memoize fresh successes under their signatures, in request order,
+  // tagged with the array ids they read so unregister can invalidate
+  // them.
   if (cache_.enabled()) {
-    for (const std::size_t i : misses) {
+    for (const std::size_t i : s.misses) {
       if (out[i].ok) {
-        cache_.put_tagged(reqs[i].signature, out[i].result,
+        cache_.put_tagged(reqs[i].signature, reqs[i].hash, out[i].result,
                           result_tags(reqs[i]));
       }
     }
   }
-  return out;
 }
 
 }  // namespace pmonge::serve

@@ -48,6 +48,7 @@
 // neither retries nor degradation can change a response.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -72,10 +73,22 @@ namespace pmonge::serve {
 
 struct BatchOutcome {
   bool ok = false;
-  // Canonical result bytes, valid when ok: a handler's result is dumped
+  // Canonical result bytes, valid when ok: a handler appends its result
   // once, and these bytes go both to the cache and into the response.
   std::string result;
   std::string error;  // valid when !ok
+};
+
+/// The registered arrays a query reads (OpSpec::operands), resolved from
+/// the registry; a slot stays null when its field is missing, malformed
+/// or names no array.
+using Operands = std::array<std::shared_ptr<const ArrayEntry>, 2>;
+Operands resolve_operands(const Request& req, const Registry& reg);
+
+/// What an inline caller already knows about a request at admission.
+struct Admitted {
+  Operands operands;          // resolved once, for pricing and the run
+  bool probe_missed = false;  // the admission cache probe ran and missed
 };
 
 /// Retry / timeout / circuit-breaker knobs (ServiceOptions embeds one).
@@ -102,15 +115,18 @@ struct BatchMember {
   const Request* req;
   BatchOutcome* out;
   ServeClock::time_point deadline = kNoDeadline;
+  const Operands* operands = nullptr;  // resolved at admission, else null
 };
 }  // namespace detail
 
-/// What `req` would touch, in cost-model units (batch = 1): the first
-/// registered operand's dimensions (OpSpec::operands), else the sizes of
-/// the inline operands.  Unknown arrays / malformed fields yield a zero
-/// shape (predicts ~nothing; the query itself then fails normally).
-/// Shared by admission control, group planning and the explain op.
-plan::QueryShape query_shape(const Request& req, Registry& reg);
+/// What `req` would touch, in cost-model units (batch = 1), given its
+/// first registered operand (null when the op has none or it is not
+/// registered): a submatrix query's region (the whole operand when the
+/// region is malformed), another op's operand, else the sizes of the
+/// inline operands.  An op whose operand is unknown yields a zero shape
+/// (predicts ~nothing; the query itself then fails normally).  Shared by
+/// admission control, group planning and the explain op.
+plan::QueryShape query_shape(const Request& req, const ArrayEntry* operand);
 
 class Batcher {
  public:
@@ -126,22 +142,28 @@ class Batcher {
         coalesce_(coalesce),
         res_(resilience) {}
 
-  /// Answer every query request in `reqs` (all must be query-plane ops).
-  /// Outcomes align with `reqs`; every request gets exactly one outcome.
-  /// `deadlines` (absolute, kNoDeadline sentinel), when non-empty, aligns
-  /// with `reqs` and bounds that request's retry budget.
-  std::vector<BatchOutcome> run(
-      std::span<const Request> reqs,
-      std::span<const ServeClock::time_point> deadlines = {});
+  /// Answer every query request in `reqs` (all must be query-plane ops)
+  /// into `out`, which aligns with `reqs`; every request gets exactly one
+  /// outcome.  `deadlines` (absolute, kNoDeadline sentinel), when
+  /// non-empty, aligns with `reqs` and bounds that request's retry
+  /// budget.  `admitted`, when non-empty, aligns with `reqs`: operands
+  /// resolved at admission, and whether the admission cache probe
+  /// missed, in which case run() counts that miss instead of probing
+  /// again.  Its own bookkeeping lives in per-thread scratch, so a warm
+  /// run allocates only the outcomes' bytes and what the kernels need.
+  void run(std::span<const Request> reqs,
+           std::span<const ServeClock::time_point> deadlines,
+           std::span<BatchOutcome> out,
+           std::span<const Admitted> admitted = {});
 
   ResilienceSnapshot resilience() const;
 
  private:
-  void dispatch_group(std::vector<detail::BatchMember>& ms);
-  void dispatch_group_once(std::vector<detail::BatchMember>& ms,
-                           bool degraded);
+  void dispatch_group(std::span<detail::BatchMember> ms);
+  void dispatch_group_once(std::span<detail::BatchMember> ms, bool degraded);
   plan::Plan plan_for(const plan::QueryShape& shape, bool degraded) const;
   std::shared_ptr<index::Index> index_for(const Request& req,
+                                          const ArrayEntry& operand,
                                           const plan::QueryShape& shape,
                                           const plan::Plan& direct) const;
   void run_explain(const Request& req, BatchOutcome& out);

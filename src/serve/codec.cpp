@@ -30,25 +30,28 @@ void RequestCodec::skip_ws() {
 }
 
 // Unescape + re-escape a string value exactly as parse-then-dump would:
-// the source escapes may be non-canonical ("A", "\/"), so the value
-// is first unescaped into strbuf_ (mirroring Parser::parse_string,
-// including surrogate pairs) and then emitted through the same escaper
-// dump() uses.  Any lexical problem refuses.
+// the source escapes may be non-canonical ("A", "\/"), so a value with
+// an escape is first unescaped into strbuf_ (mirroring
+// Parser::parse_string, including surrogate pairs) and then emitted
+// through the same escaper dump() uses; a value without one is emitted
+// as is.  Any lexical problem refuses.
 bool RequestCodec::canon_string() {
   if (pos_ >= s_.size() || s_[pos_] != '"') return false;
   const std::size_t raw_start = ++pos_;
-  strbuf_.clear();
-  bool escaped = false;
+  bool escaped = false;  // strbuf_ holds the unescaped value from the first escape on
   while (true) {
     if (pos_ >= s_.size()) return false;  // unterminated
     const char c = s_[pos_++];
     if (c == '"') break;
     if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
     if (c != '\\') {
-      strbuf_.push_back(c);
+      if (escaped) strbuf_.push_back(c);
       continue;
     }
-    escaped = true;
+    if (!escaped) {
+      strbuf_.assign(s_.data() + raw_start, pos_ - 1 - raw_start);
+      escaped = true;
+    }
     if (pos_ >= s_.size()) return false;
     const char e = s_[pos_++];
     switch (e) {
@@ -110,13 +113,22 @@ bool RequestCodec::canon_string() {
   last_str_raw_ = s_.substr(raw_start, pos_ - 1 - raw_start);
   last_str_escaped_ = escaped;
   last_kind_ = Kind::Str;
-  append_json_string(strbuf_, canon_);
+  if (escaped) {
+    append_json_string(strbuf_, canon_);
+  } else {
+    // No escape and no raw control byte: the source bytes are already
+    // the escaper's output.
+    canon_.push_back('"');
+    canon_.append(last_str_raw_);
+    canon_.push_back('"');
+  }
   return true;
 }
 
 // Replicates Parser::parse_number exactly: token scan, integral tokens
-// through strtoll (falling through to strtod on overflow), doubles via
-// %.17g, non-finite as null.
+// through strtoll (falling through to strtod on overflow), doubles in
+// the signature form of append_signature_number, as the DOM path's
+// Json::dump_signature_to writes them.
 bool RequestCodec::canon_number() {
   const std::size_t start = pos_;
   if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
@@ -134,6 +146,15 @@ bool RequestCodec::canon_number() {
     while (pos_ < s_.size() && is_dig(s_[pos_])) ++pos_;
   }
   if (pos_ == start || (pos_ == start + 1 && s_[start] == '-')) return false;
+  const std::size_t sign = s_[start] == '-' ? 1 : 0;
+  if (integral && pos_ - start - sign <= 18) {
+    // Up to 18 digits cannot overflow int64: no strtoll needed.
+    std::int64_t v = 0;
+    for (std::size_t i = start + sign; i < pos_; ++i) v = v * 10 + (s_[i] - '0');
+    support::append_int(canon_, sign != 0 ? -v : v);
+    last_kind_ = Kind::Int;
+    return true;
+  }
   strbuf_.assign(s_.data() + start, pos_ - start);
   if (integral) {
     errno = 0;
@@ -149,11 +170,7 @@ bool RequestCodec::canon_number() {
   char* end = nullptr;
   const double d = std::strtod(strbuf_.c_str(), &end);
   if (end == nullptr || *end != '\0') return false;
-  if (!std::isfinite(d)) {
-    canon_ += "null";
-  } else {
-    support::append_double(canon_, d);
-  }
+  append_signature_number(d, canon_);
   last_kind_ = Kind::Other;
   return true;
 }
@@ -329,10 +346,10 @@ bool RequestCodec::canon_value() {
   return ok;
 }
 
-// The "id" transport field: must be a plain int64 (anything else makes
-// the slow path's as_int() throw, so refuse and let it).  Not emitted --
-// the signature strips it.
-bool RequestCodec::parse_id_value() {
+// An integer envelope field ("id", "deadline_ms", "trace_id"): must be a
+// plain int64 (anything else makes the DOM path's as_int() throw, so
+// refuse and let it).  Not emitted -- the signature strips it.
+bool RequestCodec::parse_int_value(std::int64_t& v) {
   skip_ws();
   const std::size_t start = pos_;
   if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
@@ -346,9 +363,9 @@ bool RequestCodec::parse_id_value() {
   strbuf_.assign(s_.data() + start, pos_ - start);
   errno = 0;
   char* end = nullptr;
-  const long long v = std::strtoll(strbuf_.c_str(), &end, 10);
+  const long long parsed = std::strtoll(strbuf_.c_str(), &end, 10);
   if (errno != 0 || end == nullptr || *end != '\0') return false;
-  id_value_ = static_cast<std::int64_t>(v);
+  v = static_cast<std::int64_t>(parsed);
   return true;
 }
 
@@ -360,8 +377,11 @@ bool RequestCodec::canonicalize_query(std::string_view line, FastQuery& out) {
   members_.clear();
   bool have_op = false;
   Op op = Op::Other;
-  bool have_id = false;
-  id_value_ = kNoId;
+  std::int64_t id = kNoId;
+  std::int64_t deadline_ms = -1;
+  std::int64_t trace_id = 0;
+  bool have_deadline = false;
+  bool have_trace = false;
 
   skip_ws();
   if (pos_ >= s_.size() || s_[pos_] != '{') return false;
@@ -389,14 +409,15 @@ bool RequestCodec::canonicalize_query(std::string_view line, FastQuery& out) {
     if (pos_ >= s_.size() || s_[pos_] != ':') return false;
     ++pos_;
 
-    // deadline_ms / trace_id carry admission semantics of their own
-    // (deadline checks, span minting) -- those requests take the slow
-    // path wholesale.
-    if (key == "deadline_ms" || key == "trace_id") return false;
-
-    if (key == "id") {
-      if (!parse_id_value()) return false;
-      have_id = true;  // duplicates: last parse wins, like operator[]
+    // Envelope fields: parsed, not emitted.  Duplicates: the last one
+    // wins, like the DOM's operator[]; its value is checked after the
+    // loop.
+    if (key == "id" || key == "deadline_ms" || key == "trace_id") {
+      have_deadline |= key == "deadline_ms";
+      have_trace |= key == "trace_id";
+      std::int64_t& v =
+          key == "id" ? id : key == "deadline_ms" ? deadline_ms : trace_id;
+      if (!parse_int_value(v)) return false;
     } else {
       if (!members_.empty()) canon_.push_back(',');
       const std::size_t pair_off = canon_.size();
@@ -434,13 +455,19 @@ bool RequestCodec::canonicalize_query(std::string_view line, FastQuery& out) {
   skip_ws();
   if (pos_ != s_.size()) return false;  // trailing bytes: parse error
   if (!have_op) return false;
+  // Values the DOM path answers with an envelope error of its own.
+  if ((have_deadline && deadline_ms < 0) || (have_trace && trace_id <= 0)) {
+    return false;
+  }
   if (!sorted) rebuild_object(0, 1);
   canon_.push_back('}');
   members_.clear();
 
   out.signature = canon_;
   out.op = op;
-  out.id = have_id ? id_value_ : kNoId;
+  out.id = id;
+  out.deadline_ms = deadline_ms;
+  out.trace_id = static_cast<std::uint64_t>(trace_id);
   out.hash = cache_checksum(out.signature);
   return true;
 }

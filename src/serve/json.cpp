@@ -265,7 +265,7 @@ void dump_string(std::string_view s, std::string& out) {
   out.push_back('"');
 }
 
-void dump_value(const Json& v, std::string& out) {
+void dump_value(const Json& v, std::string& out, bool signature) {
   switch (v.type()) {
     case Json::Type::Null:
       out += "null";
@@ -278,6 +278,10 @@ void dump_value(const Json& v, std::string& out) {
       break;
     case Json::Type::Double: {
       const double d = v.as_double();
+      if (signature) {
+        append_signature_number(d, out);
+        break;
+      }
       if (!std::isfinite(d)) {
         out += "null";  // JSON has no inf/nan; protocol values are finite
         break;
@@ -294,7 +298,7 @@ void dump_value(const Json& v, std::string& out) {
       for (const Json& e : v.arr()) {
         if (!first) out.push_back(',');
         first = false;
-        dump_value(e, out);
+        dump_value(e, out, signature);
       }
       out.push_back(']');
       break;
@@ -307,7 +311,7 @@ void dump_value(const Json& v, std::string& out) {
         first = false;
         dump_string(k, out);
         out.push_back(':');
-        dump_value(e, out);
+        dump_value(e, out, signature);
       }
       out.push_back('}');
       break;
@@ -321,11 +325,27 @@ Json Json::parse(std::string_view text) { return Parser(text).parse_document(); 
 
 std::string Json::dump() const {
   std::string out;
-  dump_value(*this, out);
+  dump_value(*this, out, false);
   return out;
 }
 
-void Json::dump_to(std::string& out) const { dump_value(*this, out); }
+void Json::dump_to(std::string& out) const { dump_value(*this, out, false); }
+
+void Json::dump_signature_to(std::string& out) const {
+  dump_value(*this, out, true);
+}
+
+void append_signature_number(double d, std::string& out) {
+  if (!std::isfinite(d)) {
+    out += d < 0 ? "-1e999" : "1e999";
+    return;
+  }
+  const std::size_t at = out.size();
+  support::append_double(out, d);
+  if (out.find_first_not_of("-0123456789", at) == std::string::npos) {
+    out += ".0";
+  }
+}
 
 void append_json_string(std::string_view s, std::string& out) {
   dump_string(s, out);

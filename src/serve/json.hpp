@@ -92,6 +92,11 @@ class Json {
   /// allocation-free form of dump() for pooled response assembly.
   void dump_to(std::string& out) const;
 
+  /// dump_to in the signature form request signatures (cache keys) use:
+  /// numbers as append_signature_number writes them, everything else
+  /// byte-identical to dump_to.
+  void dump_signature_to(std::string& out) const;
+
   friend bool operator==(const Json&, const Json&) = default;
 
  private:
@@ -105,6 +110,14 @@ class Json {
                Obj>
       v_;
 };
+
+/// Append a double the way a signature holds it: %.17g like dump(),
+/// plus ".0" when that text would read as an integer, and +-1e999 for
+/// +-infinity instead of null.  So a number parsed as a double never
+/// shares a signature with an integer or with null (handlers read those
+/// differently: "row":1.0 is not an integer), and reading the signature
+/// back yields the parsed value.
+void append_signature_number(double d, std::string& out);
 
 /// Append `s` as a canonical JSON string literal (quotes + escapes),
 /// byte-identical to how dump() emits strings and object keys.  Shared

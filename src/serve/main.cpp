@@ -308,11 +308,12 @@ int main(int argc, char** argv) {
   std::atomic<std::uint64_t> lines_in{0};
   std::uint64_t responses_out = 0;
 
-  // An output slot is either an already-serialized response (the
-  // cached-hit fast path answered on the reader thread) or a future the
-  // worker will fulfill.  Ready slots draw their buffers from `spare`, a
-  // small pool of retired response strings, so a steady cached-hit
-  // stream recycles warm capacity instead of allocating per line.
+  // An output slot is either an already-serialized response (answered
+  // on the reader thread: a cached hit, a control op, a rejection or a
+  // query run inline) or a future the worker will fulfill.  Ready slots
+  // draw their buffers from `spare`, a small pool of retired response
+  // strings, so a steady stream recycles warm capacity instead of
+  // allocating per line.
   struct OutItem {
     std::future<std::string> fut;
     std::string ready;
@@ -352,19 +353,19 @@ int main(int argc, char** argv) {
       } else {
         pmonge::support::alloc_note_pool_miss();
       }
-      if (service.try_serve_fast(line, item.ready)) {
-        item.is_ready = true;
-      } else {
-        // A miss: submit_cb, since submit() would probe the cache again.
-        // Each line is one inline grant while the idle bank lasts.
-        auto answer = std::make_shared<std::promise<std::string>>();
-        item.fut = answer->get_future();
-        pmonge::serve::InlineAllowance allowance = idle.grant(read_at);
-        service.submit_cb(
-            std::move(line),
-            [answer](std::string resp) { answer->set_value(std::move(resp)); },
-            allowance);
-      }
+      // The line's one service call, under one inline grant while the
+      // idle bank lasts.  Only a line that queues gets a promise.
+      pmonge::serve::InlineAllowance allowance = idle.grant(read_at);
+      std::shared_ptr<std::promise<std::string>> answer;
+      item.is_ready = service.submit_line(
+          line, item.ready, allowance,
+          [&]() -> pmonge::serve::Service::ResponseCallback {
+            answer = std::make_shared<std::promise<std::string>>();
+            return [answer](std::string resp) {
+              answer->set_value(std::move(resp));
+            };
+          });
+      if (!item.is_ready) item.fut = answer->get_future();
       {
         std::lock_guard<std::mutex> lock(mu);
         pending.push_back(std::move(item));

@@ -21,9 +21,13 @@
 // OpSpec row.
 //
 // The *signature* of a query is the canonical dump of its body with the
-// envelope fields ("id", "deadline_ms", "trace_id") removed: two requests
-// asking the same question have equal signatures regardless of id, field
-// order or whitespace, which is what the result cache keys on.
+// envelope fields ("id", "deadline_ms", "trace_id") removed, numbers in
+// the signature form of append_signature_number: two requests asking
+// the same question have equal signatures regardless of id, field order
+// or whitespace, which is what the result cache keys on.  It is also the
+// one form query handlers read their fields from (Request::find/at), so
+// a request built by the streaming codec (serve/codec.hpp) and one built
+// from a DOM reach the handlers identically.
 #pragma once
 
 #include <array>
@@ -130,11 +134,37 @@ inline Op parse_op(std::string_view name) {
   return Op::Other;
 }
 
+/// One top-level field of a query, read from the request's signature:
+/// `raw` is the value's canonical bytes, empty when the field is absent.
+/// The accessors throw the JsonError texts the DOM's would, so an error
+/// answer does not depend on how the request was built.
+class Field {
+ public:
+  Field() = default;
+  explicit Field(std::string_view raw) : raw_(raw) {}
+
+  bool present() const { return !raw_.empty(); }
+  /// An integer literal: what the DOM parses as Json::Type::Int.
+  bool is_int() const;
+  std::int64_t as_int() const;  // else `bad_request: expected integer`
+  /// The unescaped string: a view of the signature when it holds no
+  /// escape, else of `scratch`.  Else `bad_request: expected string`.
+  std::string_view as_string(std::string& scratch) const;
+  /// A nested value (an array of points, explain's inner query), parsed
+  /// on demand from its canonical bytes.
+  Json parse() const { return Json::parse(raw_); }
+  std::string_view raw() const { return raw_; }
+
+ private:
+  std::string_view raw_;
+};
+
 struct Request {
   std::int64_t id = kNoId;
   Op op = Op::Other;
-  Json body;              // the full parsed request object
+  Json body;              // the parsed request object: control ops only
   std::string signature;  // canonical cache key (query ops)
+  std::uint64_t hash = 0;  // cache_checksum(signature)
   std::int64_t deadline_ms = -1;  // relative; -1 = none given
   // Observability envelope field (like "id": stripped from the
   // signature, never part of the cached question).  Client-supplied via
@@ -142,19 +172,40 @@ struct Request {
   // carry it through the batcher into exec spans.  Never echoed in
   // responses, so response bytes stay identical tracing on or off.
   std::uint64_t trace_id = 0;
+
+  /// Top-level field `key` of a query, read from the signature.
+  Field find(std::string_view key) const;
+  /// find(), throwing `bad_request: missing field "key"` when absent.
+  Field at(std::string_view key) const;
+
+  /// Index the signature's top-level fields, so each find() compares a
+  /// few keys instead of scanning the signature; whoever sets
+  /// `signature` calls it (an unindexed request's find() scans).
+  void index_fields();
+
+ private:
+  struct FieldSpan {
+    std::uint32_t key, key_len, value, value_len;  // offsets in signature
+  };
+  static constexpr std::uint8_t kUnindexed = 0xff;
+  template <class Visit>
+  static bool scan_members(std::string_view s, Visit&& visit);
+  std::array<FieldSpan, 12> fields_{};
+  std::uint8_t field_count_ = kUnindexed;
 };
 
-/// Parse one request line; throws JsonError on malformed input (bad
-/// JSON, missing or non-string op, a bad deadline_ms or trace_id).  An
-/// unknown op name parses to Op::Other (the body keeps the name).
-/// Computes the signature for query ops.
+/// Parse one request line with the DOM; throws JsonError on malformed
+/// input (bad JSON, missing or non-string op, a bad deadline_ms or
+/// trace_id).  An unknown op name parses to Op::Other (the body keeps
+/// the name).  A query op gets its signature and hash, and no body: its
+/// handler reads the signature, exactly as for a codec-built request.
 Request parse_request(const std::string& line);
 
 /// parse_request into a fresh `req`.  The id parses first, so when a
 /// later envelope field throws, req.id already holds it and the error
 /// answer can echo it (it stays kNoId when the line is not an object or
 /// its id is not an integer).
-void parse_request_into(const std::string& line, Request& req);
+void parse_request_into(std::string_view line, Request& req);
 
 /// Serialize a success / error response (canonical bytes).
 std::string make_ok_response(std::int64_t id, Json result);

@@ -11,7 +11,6 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
-#include "serve/codec.hpp"
 #include "support/arena.hpp"
 #include "support/build_info.hpp"
 #include "support/fmt.hpp"
@@ -47,81 +46,104 @@ Service::~Service() {
 void Service::pause() { queue_->pause(true); }
 void Service::resume() { queue_->pause(false); }
 
-bool Service::try_serve_fast(std::string_view line, std::string& out) {
-  // Preconditions for skipping the slow path entirely: the cache must be
-  // on, no implicit deadline can apply (deadline admission precedes the
-  // cache), and neither tracing nor fault injection may be armed (both
-  // hook the slow path's stages).
-  if (!opts_.fast_path || !cache_.enabled() || opts_.default_deadline_ms >= 0 ||
-      obs::enabled() || fault::armed()) {
+bool Service::hit_probe_applies(Op op, std::int64_t deadline_ms) const {
+  // A hit may be answered before its request exists only when nothing
+  // that precedes the cache applies: no deadline (deadline admission
+  // comes first), no tracing or armed faults (both hook the later
+  // stages), and a cacheable op (explain reports live observations).
+  return cache_.enabled() && op_spec(op).query && op != Op::Explain &&
+         deadline_ms < 0 && opts_.default_deadline_ms < 0 &&
+         !obs::enabled() && !fault::armed();
+}
+
+bool Service::serve_hit(const FastQuery& q, std::string& out) {
+  const auto t0 = ServeClock::now();
+  const std::size_t mark = out.size();
+  const std::size_t warm_capacity = out.capacity();
+  if (q.id != kNoId) {
+    out += "{\"id\":";
+    support::append_int(out, q.id);
+    out += ",\"ok\":true,\"result\":";
+  } else {
+    out += "{\"ok\":true,\"result\":";
+  }
+  if (!cache_.get_hit(q.signature, q.hash, out)) {
+    out.resize(mark);
     return false;
   }
-  RequestCodec& codec = thread_codec();
-  FastQuery q;
-  if (!codec.canonicalize_query(line, q)) return false;
-  // explain reports live plan/cost observations and is never cached.
-  if (q.op == Op::Explain || !op_spec(q.op).query) return false;
+  out.push_back('}');
 
-  const auto t0 = ServeClock::now();
-  std::string& buf = codec.response_buffer();
-  const std::size_t warm_capacity = buf.capacity();
-  buf.clear();
-  if (q.id != kNoId) {
-    buf += "{\"id\":";
-    support::append_int(buf, q.id);
-    buf += ",\"ok\":true,\"result\":";
-  } else {
-    buf += "{\"ok\":true,\"result\":";
-  }
-  if (!cache_.get_hit(q.signature, q.hash, buf)) return false;
-  buf.push_back('}');
-
-  // Same per-endpoint accounting the queue/worker path would record for
-  // a cached hit: admitted, hit, ok, and submit-to-answer latency.
+  // The per-endpoint accounting a cached hit gets on any path: admitted,
+  // hit, ok, and submit-to-answer latency.
   EndpointMetrics& em = metrics_.endpoint(q.op);
   em.requests.add();
   em.cache_hits.add();
   em.ok.add();
   em.latency_us.record(us_between(t0, ServeClock::now()));
   support::alloc_note_fast_path_hit();
-  if (buf.capacity() == warm_capacity && warm_capacity != 0) {
+  if (out.capacity() == warm_capacity && warm_capacity != 0) {
     support::alloc_note_pool_hit();
   } else {
     support::alloc_note_pool_miss();
   }
-  out += buf;
   return true;
 }
 
-void Service::submit_cb(std::string line, ResponseCallback done,
-                        InlineAllowance& allowance) {
-  obs::Span span("serve.admit");
+bool Service::try_serve_fast(std::string_view line, std::string& out) {
+  FastQuery q;
+  return opts_.fast_path && thread_codec().canonicalize_query(line, q) &&
+         hit_probe_applies(q.op, q.deadline_ms) && serve_hit(q, out);
+}
 
-  Request req;
-  try {
-    parse_request_into(line, req);
-  } catch (const std::exception& e) {
-    metrics_.endpoint(Op::Other).errors.add();
-    // Envelope-shape errors arrive pre-categorized as bad_request; only
-    // raw lexer failures get the parse_error category here.  An error
-    // after the id parsed echoes it.
-    std::string msg = e.what();
-    if (!msg.starts_with("bad_request: ")) msg = "parse_error: " + msg;
-    done(make_error_response(req.id, std::move(msg)));
-    return;
+bool Service::submit_line(std::string_view line, std::string& out,
+                          InlineAllowance& allowance,
+                          QueuedCallback queued) {
+  // The codec's one pass: a query it accepts brings its signature and
+  // hash from here to the cache probe, the handler and the cache insert.
+  FastQuery q;
+  const bool coded = opts_.fast_path &&
+                     thread_codec().canonicalize_query(line, q) &&
+                     op_spec(q.op).query;
+  bool probe_missed = false;
+  if (coded && hit_probe_applies(q.op, q.deadline_ms)) {
+    if (serve_hit(q, out)) return true;
+    probe_missed = true;
   }
 
+  obs::Span span("serve.admit");
+  Request req;
+  if (coded) {
+    req.id = q.id;
+    req.op = q.op;
+    req.signature.assign(q.signature);  // the codec's buffer is reused
+    req.hash = q.hash;
+    req.index_fields();
+    req.deadline_ms = q.deadline_ms;
+    req.trace_id = q.trace_id;
+  } else {
+    try {
+      parse_request_into(line, req);
+    } catch (const std::exception& e) {
+      metrics_.endpoint(Op::Other).errors.add();
+      // Envelope-shape errors arrive pre-categorized as bad_request; only
+      // raw lexer failures get the parse_error category here.  An error
+      // after the id parsed echoes it.
+      std::string msg = e.what();
+      if (!msg.starts_with("bad_request: ")) msg = "parse_error: " + msg;
+      append_error_response(req.id, msg, out);
+      return true;
+    }
+  }
   span.set_detail(op_spec(req.op).name);
-  span.set_trace(req.trace_id);
 
   if (!op_spec(req.op).query) {
+    span.set_trace(req.trace_id);
     EndpointMetrics& em = metrics_.endpoint(req.op);
     em.requests.add();
     const auto t0 = ServeClock::now();
-    std::string resp = handle_control(req);
+    out += handle_control(req);
     em.latency_us.record(us_between(t0, ServeClock::now()));
-    done(std::move(resp));
-    return;
+    return true;
   }
 
   // Query ops: mint a trace id when tracing is on and the client did not
@@ -141,34 +163,54 @@ void Service::submit_cb(std::string line, ResponseCallback done,
 
   EndpointMetrics& em = metrics_.endpoint(req.op);
 
+  // Price the query when the deadline check or the inline rule needs it,
+  // resolving its operands once for both and for an inline run.  The
+  // queued path stays where it adds something: explain times a worker
+  // run, armed faults hook the worker's stages, and a non-idle queue
+  // holds earlier lines (or a paused worker) that this one must not
+  // overtake.  An empty grant (a busy front-end) is checked first, so a
+  // loaded front-end neither locks the queue nor prices the query.
+  const bool check_deadline =
+      planner_.enabled() && deadline_ms >= 0 && req.op != Op::Explain;
+  const bool may_inline = allowance.left_us > 0 && req.op != Op::Explain &&
+                          !fault::armed() && queue_->idle();
+  Admitted admitted{{}, probe_missed};
+  double price_us = 0;
+  if (check_deadline || may_inline) {
+    admitted.operands = resolve_operands(req, registry_);
+    price_us =
+        planner_.predicted_us(query_shape(req, admitted.operands[0].get()));
+  }
+
   // Deadline-aware admission: if the cost model already knows the
   // deadline cannot be met, reject before the request burns queue space
   // or engine time.  explain is exempt (it exists to report the plan).
-  if (planner_.enabled() && deadline_ms >= 0 && req.op != Op::Explain) {
-    const double predicted_us =
-        planner_.predicted_us(query_shape(req, registry_));
-    if (predicted_us > static_cast<double>(deadline_ms) * 1000.0) {
-      em.unmeetable.add();
-      em.errors.add();
-      done(make_error_response(
-          req.id,
-          "deadline_unmeetable: predicted " +
-              std::to_string(
-                  static_cast<std::int64_t>(std::llround(predicted_us))) +
-              "us exceeds deadline " + std::to_string(deadline_ms) + "ms"));
-      return;
-    }
+  if (check_deadline && price_us > static_cast<double>(deadline_ms) * 1000.0) {
+    em.unmeetable.add();
+    em.errors.add();
+    append_error_response(
+        req.id,
+        "deadline_unmeetable: predicted " +
+            std::to_string(static_cast<std::int64_t>(std::llround(price_us))) +
+            "us exceeds deadline " + std::to_string(deadline_ms) + "ms",
+        out);
+    return true;
   }
-  if (runs_inline(req, deadline_ms, allowance)) {
-    answer_inline(req, done);
-    return;
+  if (may_inline && allowance.take(price_us)) {
+    answer_inline(req, admitted, deadline, out);
+    return true;
   }
+
   // Admission jitter site: a seeded pre-enqueue sleep that shuffles
   // arrival order.  Response bytes never depend on batch composition, so
   // this can only move latency, never answers.
   if (fault::armed() && fault::should_fire(fault::Site::ServeAdmitJitter)) {
     fault::fire_delay(fault::Site::ServeAdmitJitter);
   }
+  // The request owns its signature and resolves its operands again when
+  // it runs, and the worker probes the cache again: a duplicate may have
+  // been cached while it waited.
+  const ResponseCallback done = queued();
   const std::int64_t id = req.id;
   Pending p{std::move(req), done};  // `done` stays copied for the reject path
   if (queue_->try_push(std::move(p), deadline) == AdmitResult::Overloaded) {
@@ -176,51 +218,83 @@ void Service::submit_cb(std::string line, ResponseCallback done,
     // its callback copy with it; answer through the one we kept.
     em.overloaded.add();
     done(make_error_response(id, "overloaded"));
-    return;
-  }
-  em.requests.add();
-}
-
-bool Service::runs_inline(const Request& req, std::int64_t deadline_ms,
-                          InlineAllowance& allowance) {
-  // The queued path stays where it adds something: a deadline can expire
-  // in the queue, explain times a worker run, tracing and armed faults
-  // hook the worker's stages, and a non-idle queue holds earlier lines
-  // (or a paused worker) that this one must not overtake.  An empty
-  // grant (a busy front-end) is checked first, so a loaded front-end
-  // neither locks the queue nor prices the query.
-  if (allowance.left_us <= 0 || deadline_ms >= 0 || req.op == Op::Explain ||
-      obs::enabled() || fault::armed() || !queue_->idle()) {
     return false;
   }
-  return allowance.take(planner_.predicted_us(query_shape(req, registry_)));
+  em.requests.add();
+  return false;
 }
 
-void Service::answer_inline(const Request& req, const ResponseCallback& done) {
+void Service::submit_cb(std::string line, ResponseCallback done,
+                        InlineAllowance& allowance) {
+  std::string out;
+  if (submit_line(line, out, allowance, [&] { return done; })) {
+    done(std::move(out));
+  }
+}
+
+namespace {
+
+/// One "serve.request" span covering a request's whole submit-to-answer
+/// interval, reconstructed from its timestamps (the RAII Span cannot
+/// straddle threads).  `done` is the same timestamp the latency
+/// histogram records, so the traced path adds no clock read of its own;
+/// the worker's records accumulate per batch and land via one emit_all()
+/// -- per-request emission is the one tracing cost that scales with
+/// throughput, and the 5% bench_serve overhead gate watches it.
+obs::SpanRecord request_span(const Request& r, ServeClock::time_point enqueued,
+                             ServeClock::time_point done) {
+  obs::SpanRecord rec;
+  rec.name = "serve.request";
+  rec.trace_id = r.trace_id;
+  rec.start_us = obs::to_trace_us(enqueued);
+  rec.dur_us = us_between(enqueued, done);
+  rec.set_detail(op_spec(r.op).name);
+  return rec;
+}
+
+}  // namespace
+
+void Service::answer_inline(const Request& req, const Admitted& admitted,
+                            ServeClock::time_point deadline,
+                            std::string& out) {
   // A batch of one on the calling thread: the same batcher, cache pass
   // and response bytes as a worker batch, minus the two thread hand-offs.
   // Not a worker batch, so `batches` and `batch_size` do not count it.
   const auto t0 = ServeClock::now();
-  metrics_.endpoint(req.op).requests.add();
+  EndpointMetrics& em = metrics_.endpoint(req.op);
+  em.requests.add();
   inline_answered_.add();
-  const std::vector<BatchOutcome> out = run_batch({&req, 1}, {});
-  std::string resp;
-  respond(req, out[0], t0, resp);
-  done(std::move(resp));
+  ServeClock::time_point done;
+  if (deadline != kNoDeadline && t0 >= deadline) {
+    // The queue's rule, with the worker's bytes: a deadline that passed
+    // before the run answers deadline_expired without running.
+    em.expired.add();
+    em.errors.add();
+    append_error_response(req.id, "deadline_expired", out);
+    done = ServeClock::now();
+    em.latency_us.record(us_between(t0, done));
+  } else {
+    BatchOutcome outcome;
+    run_batch({&req, 1}, {&deadline, 1}, {&outcome, 1}, {&admitted, 1});
+    done = respond(req, outcome, t0, out);
+  }
+  if (obs::enabled()) obs::emit(request_span(req, t0, done));
 }
 
-std::vector<BatchOutcome> Service::run_batch(
-    std::span<const Request> reqs,
-    std::span<const ServeClock::time_point> deadlines) {
+void Service::run_batch(std::span<const Request> reqs,
+                        std::span<const ServeClock::time_point> deadlines,
+                        std::span<BatchOutcome> out,
+                        std::span<const Admitted> admitted) {
   try {
-    return batcher_.run(reqs, deadlines);
+    batcher_.run(reqs, deadlines, out, admitted);
   } catch (const std::exception& e) {
     // The batcher's contract is to never throw; if something slips
     // through anyway, answer the batch instead of killing the thread that
     // ran it (for the one worker, that would hang every later request).
-    std::vector<BatchOutcome> out(reqs.size());
-    for (auto& o : out) o.error = std::string("internal: ") + e.what();
-    return out;
+    for (BatchOutcome& o : out) {
+      o = BatchOutcome{};
+      o.error = std::string("internal: ") + e.what();
+    }
   }
 }
 
@@ -242,22 +316,20 @@ ServeClock::time_point Service::respond(const Request& r,
 }
 
 std::future<std::string> Service::submit(std::string line) {
-  // Cached-hit fast path: answered inline on the submitting thread,
-  // exactly like control ops and admission rejections already are.
-  std::string hit;
-  if (try_serve_fast(line, hit)) {
+  std::string out;
+  std::shared_ptr<std::promise<std::string>> answer;
+  InlineAllowance allowance;
+  if (submit_line(line, out, allowance, [&]() -> ResponseCallback {
+        answer = std::make_shared<std::promise<std::string>>();
+        return [answer](std::string resp) {
+          answer->set_value(std::move(resp));
+        };
+      })) {
     std::promise<std::string> answered;
-    answered.set_value(std::move(hit));
+    answered.set_value(std::move(out));
     return answered.get_future();
   }
-  auto promise = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> fut = promise->get_future();
-  InlineAllowance allowance;
-  submit_cb(
-      std::move(line),
-      [promise](std::string resp) { promise->set_value(std::move(resp)); },
-      allowance);
-  return fut;
+  return answer->get_future();
 }
 
 std::string Service::request(const std::string& line) {
@@ -286,28 +358,6 @@ std::vector<std::string> Service::request_batch(
   for (auto& f : futs) out.push_back(f.get());
   return out;
 }
-
-namespace {
-
-/// One "serve.request" span covering a request's whole queue-to-answer
-/// interval, reconstructed from the admission timestamps (the RAII Span
-/// cannot straddle threads).  `done` is the same timestamp the latency
-/// histogram records, so the traced path adds no clock read of its own;
-/// the records accumulate per worker batch and land via one emit_all()
-/// -- per-request emission is the one tracing cost that scales with
-/// throughput, and the 5% bench_serve overhead gate watches it.
-obs::SpanRecord request_span(const Request& r, ServeClock::time_point enqueued,
-                             ServeClock::time_point done) {
-  obs::SpanRecord rec;
-  rec.name = "serve.request";
-  rec.trace_id = r.trace_id;
-  rec.start_us = obs::to_trace_us(enqueued);
-  rec.dur_us = us_between(enqueued, done);
-  rec.set_detail(op_spec(r.op).name);
-  return rec;
-}
-
-}  // namespace
 
 void Service::worker_loop() {
   obs::set_lane_name("serve-worker");
@@ -352,7 +402,8 @@ void Service::worker_loop() {
       reqs.push_back(std::move(batch[i].item.req));
       deadlines.push_back(batch[i].deadline);
     }
-    const std::vector<BatchOutcome> outcomes = run_batch(reqs, deadlines);
+    std::vector<BatchOutcome> outcomes(reqs.size());
+    run_batch(reqs, deadlines, outcomes);
 
     std::vector<std::string> responses;
     responses.reserve(outcomes.size());

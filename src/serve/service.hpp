@@ -6,31 +6,38 @@
 //
 // Plumbing (docs/serving.md has the full picture):
 //
-//   submit(line) --cached hit?  answered inline (try_serve_fast)
-//       \-> submit_cb --parse--> control op?  handled synchronously
-//                       \-> query op --> queue idle, no deadline, not
-//                            explain, tracing off, faults disarmed, and
-//                            priced within the read's InlineAllowance
-//                            (empty once the front-end's IdleBank is
-//                            spent)?  Batcher runs it alone on the
-//                            calling thread
-//                            \-> else AdmissionQueue (bounded; full =>
-//                                 immediate `overloaded` rejection)
+//   submit_line(line) --codec: one canonicalization, one hash--> a query
+//       the codec accepts?  cached hit => answered at once, no request
+//       built (try_serve_fast is this step alone)
+//       \-> request from the codec, or from a DOM when the codec refused
+//            the line --> control op?  handled synchronously
+//            \-> query op --> deadline unmeetable?  rejected
+//                 \-> queue idle, not explain, faults disarmed, and
+//                      priced within the read's InlineAllowance (empty
+//                      once the front-end's IdleBank is spent)?  Batcher
+//                      runs it alone on the calling thread, its operand
+//                      resolved once and its cache probed once
+//                 \-> else AdmissionQueue (bounded; full => immediate
+//                      `overloaded` rejection)
 //   worker thread:  pop_batch(batch_max) --> expired deadlines answered
 //                   `deadline_expired` --> Batcher coalesces the rest into
-//                   engine runs --> promises fulfilled
+//                   engine runs --> callbacks fulfilled
+//
+// An answer made during submit_line goes straight into the caller's
+// buffer; only a line that queues gets a callback.
 //
 // Determinism guarantee: the bytes of every query response depend only on
 // the request and the registered operand -- not on PMONGE_THREADS, not on
 // batching on/off, not on cache warm/cold, not on what shared the batch,
-// not on the planner toggle or the loaded cost profile.
+// not on the planner toggle or the loaded cost profile, not on tracing.
 // `stats` and `explain` are the deliberate exceptions (they report live
 // counters / measured timings).
 //
 // Deadline-aware admission: when the planner is on and a request carries
-// a deadline, submit() compares the plan's predicted latency against it
-// and answers `deadline_unmeetable` immediately -- the request never
-// enters the queue or the engine.
+// a deadline, submit_line compares the plan's predicted latency against
+// it and answers `deadline_unmeetable` immediately -- the request never
+// enters the queue or the engine.  A deadline that has passed when a
+// query would run answers `deadline_expired`, inline or queued.
 #pragma once
 
 #include <algorithm>
@@ -42,7 +49,9 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -53,6 +62,7 @@
 #include "serve/admission.hpp"
 #include "serve/batcher.hpp"
 #include "serve/cache.hpp"
+#include "serve/codec.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
@@ -136,12 +146,13 @@ struct ServiceOptions {
   bool planner = true;                // adaptive execution planner on/off
   plan::CostProfile profile = plan::builtin_profile();  // cost-model constants
   ResilienceOptions resilience;       // retry / timeout / breaker knobs
-  // Zero-allocation cached-hit path (serve/codec.hpp): canonicalize the
-  // line in place, probe the cache, splice the cached bytes into the
-  // response -- no DOM, no queue, no worker hand-off.  Off is the
-  // pre-codec behavior; responses are byte-identical either way (the
-  // test_codec golden run asserts it), so the toggle exists for A/B
-  // benchmarking and bisection, not semantics.
+  // The codec at the front (serve/codec.hpp): canonicalize each line in
+  // one pass, answer a cached hit before any request is built, and build
+  // a query's request without a DOM.  Off is the pre-codec behavior:
+  // every line is parsed into a DOM and every query probes the cache in
+  // the batcher.  Responses are byte-identical either way (test_codec
+  // asserts it over every golden transcript), so the toggle exists for
+  // A/B benchmarking and differential tests, not semantics.
   bool fast_path = true;
 };
 
@@ -152,41 +163,66 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
-  /// A response consumer.  Invoked exactly once per submitted line --
-  /// on the submitting thread, before submit_cb returns, for control
-  /// ops, rejections and queries answered inline; on the worker thread
-  /// for queued queries.  Must be copyable (the service keeps a copy
-  /// across the admission hand-off) and must not throw.
+  /// A queued line's response consumer, invoked exactly once, on the
+  /// worker thread (or on the submitting thread for an `overloaded`
+  /// rejection).  Must be copyable (the service keeps a copy across the
+  /// admission hand-off) and must not throw.
   using ResponseCallback = std::function<void(std::string)>;
 
-  /// Submit one request line, callback form: the transport front-ends'
-  /// entry point for lines try_serve_fast did not answer (each front-end
-  /// probes the cache once per line itself, so this does not probe it
-  /// again).  A query runs inline on the calling thread, charged to
-  /// `allowance`, when the admission queue is idle (empty, not paused,
-  /// not stopped), it carries no deadline and is not `explain`, tracing
-  /// is off, faults are disarmed, and the planner's price for it fits
-  /// what is left of `allowance`; otherwise it queues.  Thread-safe.
+  /// What submit_line calls to get the callback of a line that queues: a
+  /// non-owning reference to any callable returning a ResponseCallback,
+  /// so a front-end builds its callback only for such a line.
+  class QueuedCallback {
+   public:
+    template <class F>
+      requires(!std::is_same_v<std::remove_cvref_t<F>, QueuedCallback> &&
+               std::is_invocable_r_v<ResponseCallback, F&>)
+    QueuedCallback(F&& make)  // implicit: callers pass a lambda
+        : make_(const_cast<void*>(
+              static_cast<const void*>(std::addressof(make)))),
+          call_([](void* m) -> ResponseCallback {
+            return (*static_cast<std::remove_reference_t<F>*>(m))();
+          }) {}
+    ResponseCallback operator()() const { return call_(make_); }
+
+   private:
+    void* make_;
+    ResponseCallback (*call_)(void*);
+  };
+
+  /// Answer one request line: each front-end's one call per line.  The
+  /// codec canonicalizes it once; a cached hit, a control op, a
+  /// rejection or a query run inline appends its answer (no newline) to
+  /// `out` and returns true.  Otherwise the line queues and submit_line
+  /// returns false with `out` untouched, having called `queued` once for
+  /// the callback its answer goes to.  A query runs inline on the calling
+  /// thread, charged to `allowance`, when the admission queue is idle
+  /// (empty, not paused, not stopped), it is not `explain`, faults are
+  /// disarmed, and the planner's price for it fits what is left of
+  /// `allowance`.  Thread-safe.
+  bool submit_line(std::string_view line, std::string& out,
+                   InlineAllowance& allowance, QueuedCallback queued);
+
+  /// submit_line with the callback in hand: `done` receives the answer,
+  /// on the calling thread before submit_cb returns unless the line
+  /// queues.  Thread-safe.
   void submit_cb(std::string line, ResponseCallback done,
                  InlineAllowance& allowance);
 
-  /// Submit one request line under a grant of its own: try_serve_fast,
-  /// then submit_cb.  Cached hits, control ops and queries answered
-  /// inline resolve before returning; queued query ops resolve when the
-  /// worker answers (immediately with `overloaded` if the admission
-  /// queue is full).  Thread-safe.
+  /// submit_line under a grant of its own.  Cached hits, control ops and
+  /// queries answered inline resolve before returning; queued query ops
+  /// resolve when the worker answers (immediately with `overloaded` if
+  /// the admission queue is full).  Thread-safe.
   std::future<std::string> submit(std::string line);
 
   /// Synchronous single request.
   std::string request(const std::string& line);
 
-  /// Zero-allocation cached-hit attempt: if `line` is a well-formed
-  /// query (no deadline/trace fields) whose canonical signature is in
-  /// the result cache, appends the full response (no newline) to `out`
-  /// and returns true.  False means "not served" -- hand the line to
-  /// submit_cb; nothing was consumed or counted.  `out` is untouched on
-  /// false.  Thread-safe; transport front-ends call this inline before
-  /// paying for the queue hand-off.
+  /// submit_line's first step alone, the zero-allocation cached hit: if
+  /// `line` is a query the codec accepts, no deadline applies, and its
+  /// signature is in the result cache, appends the full response (no
+  /// newline) to `out` and returns true.  False means "not served";
+  /// nothing was counted and `out` is untouched.  Thread-safe.
   bool try_serve_fast(std::string_view line, std::string& out);
 
   /// Submit all lines, then wait; responses align with `lines`.
@@ -216,12 +252,14 @@ class Service {
   std::string handle_control(const Request& req);
   Json stats_json() const;
   void worker_loop();
-  bool runs_inline(const Request& req, std::int64_t deadline_ms,
-                   InlineAllowance& allowance);
-  void answer_inline(const Request& req, const ResponseCallback& done);
-  std::vector<BatchOutcome> run_batch(
-      std::span<const Request> reqs,
-      std::span<const ServeClock::time_point> deadlines);
+  bool hit_probe_applies(Op op, std::int64_t deadline_ms) const;
+  bool serve_hit(const FastQuery& q, std::string& out);
+  void answer_inline(const Request& req, const Admitted& admitted,
+                     ServeClock::time_point deadline, std::string& out);
+  void run_batch(std::span<const Request> reqs,
+                 std::span<const ServeClock::time_point> deadlines,
+                 std::span<BatchOutcome> out,
+                 std::span<const Admitted> admitted = {});
   ServeClock::time_point respond(const Request& r, const BatchOutcome& o,
                                  ServeClock::time_point since,
                                  std::string& resp);

@@ -1,16 +1,19 @@
-// The zero-allocation serve fast path (serve/codec.hpp, docs/
+// The codec at the front of the serve path (serve/codec.hpp, docs/
 // performance.md), tested from four sides:
 //
 //   1. Differential fuzz: for every line the streaming canonicalizer
-//      ACCEPTS, its signature / op / id must be byte-identical to what
-//      the slow path (parse_request) computes.  Refusal is always legal;
-//      acceptance is the claim under test.  A coverage check keeps the
-//      fuzz honest (the codec must actually accept the forms the fast
-//      path exists for -- whitespace, shuffled keys, escapes).
-//   2. Fast/slow response identity: two Services differing only in
-//      `fast_path` answer an identical request stream -- including
-//      cache-hitting repeats, errors and unregister invalidation --
-//      with byte-identical NDJSON.
+//      ACCEPTS, its signature / op / id / deadline_ms / trace_id must be
+//      byte-identical to what the DOM path (parse_request) computes.
+//      Refusal is always legal; acceptance is the claim under test.  A
+//      coverage check keeps the fuzz honest (the codec must actually
+//      accept the forms the fast path exists for -- whitespace, shuffled
+//      keys, escapes), and a number fuzz pins that a double never shares
+//      a signature with an integer.
+//   2. Codec-built vs DOM-built response identity: Services differing
+//      only in `fast_path` (codec at the front, or a DOM for every line)
+//      answer every request of every golden transcript and the fuzz
+//      corpus, with the cache on and off, cold and warm, with
+//      byte-identical NDJSON.
 //   3. The allocation gate: a warmed cached-hit through
 //      Service::try_serve_fast performs ZERO heap allocations, asserted
 //      by a global operator-new hook.
@@ -22,8 +25,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <future>
+#include <memory>
 #include <new>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -170,8 +178,14 @@ class LineGen {
                       std::to_string(static_cast<std::int64_t>(rng_() % 2000) -
                                      1000));
     }
-    if (pct(8)) pairs.push_back("\"deadline_ms\":100");
-    if (pct(5)) pairs.push_back("\"trace_id\":7");
+    if (pct(8)) {
+      static const char* kDeadlines[] = {"100", "0", "-1", "1.5", "\"5\""};
+      pairs.push_back(std::string("\"deadline_ms\":") + kDeadlines[rng_() % 5]);
+    }
+    if (pct(5)) {
+      static const char* kTraces[] = {"7", "0", "-3", "2.0"};
+      pairs.push_back(std::string("\"trace_id\":") + kTraces[rng_() % 4]);
+    }
     const std::size_t extra = rng_() % 4;
     for (std::size_t i = 0; i < extra; ++i) {
       static const char* kKeys[] = {"array", "row",  "r0",    "c1",
@@ -241,7 +255,10 @@ TEST(CodecDifferential, AcceptedLinesMatchSlowPathExactly) {
     }
     EXPECT_EQ(q.op, r.op) << "line: " << line;
     EXPECT_EQ(q.id, r.id) << "line: " << line;
+    EXPECT_EQ(q.deadline_ms, r.deadline_ms) << "line: " << line;
+    EXPECT_EQ(q.trace_id, r.trace_id) << "line: " << line;
     EXPECT_EQ(q.hash, serve::cache_checksum(q.signature));
+    if (serve::op_spec(r.op).query) EXPECT_EQ(q.hash, r.hash);
   }
   // The fuzz is vacuous if the codec refuses everything interesting.
   EXPECT_GT(accepted, 5000u);
@@ -271,12 +288,71 @@ TEST(CodecDifferential, AcceptsTheFormsTheFastPathExistsFor) {
   }
 }
 
+TEST(CodecDifferential, DoublesNeverShareAnIntegersSignature) {
+  // A number parsed as a double reads differently from an integer ("row":
+  // 1.0 is not an integer), so its signature must differ from the
+  // integer's -- in the codec and in the DOM path alike -- or a cached
+  // integer answer would be served for it.
+  std::mt19937_64 rng(20261021);
+  RequestCodec codec;
+  FastQuery q;
+  const auto signature_of = [&](const std::string& line) {
+    const Request r = serve::parse_request(line);
+    EXPECT_TRUE(codec.canonicalize_query(line, q)) << line;
+    EXPECT_EQ(q.signature, r.signature) << line;
+    EXPECT_EQ(q.hash, r.hash) << line;
+    return r.signature;
+  };
+  for (int iter = 0; iter < 3000; ++iter) {
+    const std::int64_t v =
+        static_cast<std::int64_t>(rng() % 2000001) - 1000000;
+    const std::string iv = std::to_string(v);
+    // Spellings of the same value as a double.
+    const std::string dv[] = {iv + ".0", iv + "e0", iv + ".000",
+                              iv + "0e-1", iv + "E+0"};
+    const std::string key = rng() % 2 == 0 ? "row" : "array";
+    const auto line = [&](const std::string& num) {
+      return R"({"op":"rowmin",")" + key + "\":" + num + "}";
+    };
+    const std::string int_sig = signature_of(line(iv));
+    for (const std::string& d : dv) {
+      const std::string dsig = signature_of(line(d));
+      EXPECT_NE(dsig, int_sig) << line(d);
+      // Every spelling of the double shares one signature.
+      EXPECT_EQ(dsig, signature_of(line(dv[0]))) << line(d);
+    }
+    // Nested values too.
+    EXPECT_NE(signature_of(R"({"op":"largest_rect","points":[[)" + iv +
+                           ",1]]}"),
+              signature_of(R"({"op":"largest_rect","points":[[)" + dv[0] +
+                           ",1]]}"));
+  }
+  // Edges: negative zero, values past 2^53 and int64, infinity vs null.
+  const std::pair<const char*, const char*> kDistinct[] = {
+      {"0", "-0.0"},      {"0", "0.0"},
+      {"1e16", "10000000000000000"},
+      {"9223372036854775807", "9223372036854775808"},
+      {"1e999", "null"},  {"-1e999", "null"},
+      {"1e999", "-1e999"},
+  };
+  const auto line_with = [](const char* num) {
+    return std::string(R"({"op":"rowmin","row":)") + num + "}";
+  };
+  for (const auto& [a, b] : kDistinct) {
+    EXPECT_NE(signature_of(line_with(a)), signature_of(line_with(b)))
+        << a << " vs " << b;
+  }
+}
+
 TEST(CodecDifferential, RefusesWhatItCannotPromise) {
   RequestCodec codec;
   FastQuery q;
   const char* kLines[] = {
-      "{\"op\":\"rowmin\",\"deadline_ms\":5}",   // admission semantics
-      "{\"op\":\"rowmin\",\"trace_id\":1}",      // observability envelope
+      "{\"op\":\"rowmin\",\"deadline_ms\":-1}",  // the DOM's error
+      "{\"op\":\"rowmin\",\"deadline_ms\":1.5}",  // not an integer
+      "{\"op\":\"rowmin\",\"trace_id\":0}",       // not positive
+      "{\"op\":\"rowmin\",\"trace_id\":\"7\"}",   // not an integer
+      "{\"op\":\"rowmin\",\"id\":1e2}",           // not an integer
       "{\"array\":0}",                           // no op
       "{\"op\":1}",                              // non-string op
       "{\"op\":\"row\\u006din\"}",               // escaped op value
@@ -340,6 +416,175 @@ TEST(CodecFastSlow, ResponsesByteIdenticalWithFastPathOnAndOff) {
   // The fast service really did take the fast path for the repeats.
   const auto hits = svc_on.cache_stats().hits;
   EXPECT_GE(hits, 9u);
+}
+
+/// One replayed request stream: each line, whether its golden
+/// expectation is exact (a `<` line; `~` answers embed timings), and
+/// which lines are cacheable queries, whose answers must not depend on
+/// the cache (control ops such as unregister report on it).
+struct Transcript {
+  std::string options;  // the `!options` line's text, minus "cache="
+  // "> line", "!pause", "!resume", or "<" where the transcript awaits its
+  // next answer (so control ops run where they do in the golden run).
+  std::vector<std::string> steps;
+  std::vector<bool> exact;           // per request, in submission order
+  std::vector<std::string> queries;  // the cacheable query lines
+};
+
+bool cacheable_query(const std::string& line) {
+  try {
+    const Request r = serve::parse_request(line);
+    return serve::op_spec(r.op).query && r.op != serve::Op::Explain;
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+Transcript read_transcript(const std::filesystem::path& path) {
+  Transcript t;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("!options", 0) == 0) {
+      std::istringstream is(line.substr(8));
+      for (std::string tok; is >> tok;) {
+        if (tok.rfind("cache=", 0) != 0) t.options += tok + " ";
+      }
+    } else if (line.rfind("> ", 0) == 0 || line == "!pause" ||
+               line == "!resume") {
+      t.steps.push_back(line);
+      if (line[0] == '>' && cacheable_query(line.substr(2))) {
+        t.queries.push_back(line.substr(2));
+      }
+    } else if (line.rfind("< ", 0) == 0 || line == "<") {
+      t.steps.push_back("<");
+      t.exact.push_back(true);
+    } else if (line.rfind("~ ", 0) == 0) {
+      t.steps.push_back("<");
+      t.exact.push_back(false);
+    }
+  }
+  return t;
+}
+
+ServiceOptions transcript_options(const std::string& options, bool codec,
+                                  bool cache) {
+  ServiceOptions o;
+  o.fast_path = codec;
+  if (!cache) o.cache_capacity = 0;
+  std::istringstream is(options);
+  for (std::string tok; is >> tok;) {
+    const std::string key = tok.substr(0, tok.find('='));
+    const std::string val = tok.substr(tok.find('=') + 1);
+    if (key == "queue") o.queue_capacity = std::stoull(val);
+    if (key == "batch") o.batch_max = std::stoull(val);
+    if (key == "shards") o.cache_shards = std::stoull(val);
+    if (key == "deadline") o.default_deadline_ms = std::stoll(val);
+    if (key == "coalesce") o.coalesce = val == "on";
+    if (key == "planner") o.planner = val == "on";
+  }
+  return o;
+}
+
+/// A transcript's answers from one Service: every request in order, then
+/// (warm) every cacheable query once more, then those queries' cold-pass
+/// answers again, picked out for comparison across cache settings.
+struct Replayed {
+  std::vector<std::string> all;      // the transcript, then the warm pass
+  std::vector<std::string> queries;  // cold and warm answers to queries
+};
+
+Replayed replay(const Transcript& t, bool codec, bool cache) {
+  Service svc(transcript_options(t.options, codec, cache));
+  std::vector<std::future<std::string>> futs;
+  std::vector<bool> is_query;
+  Replayed r;
+  for (const std::string& step : t.steps) {
+    if (step == "!pause") {
+      svc.pause();
+    } else if (step == "!resume") {
+      svc.resume();
+    } else if (step == "<") {
+      const std::size_t i = r.all.size();
+      r.all.push_back(futs[i].get());
+      if (is_query[i]) r.queries.push_back(r.all.back());
+    } else {
+      futs.push_back(svc.submit(step.substr(2)));
+      is_query.push_back(cacheable_query(step.substr(2)));
+    }
+  }
+  for (const std::string& q : t.queries) {
+    r.all.push_back(svc.request(q));
+    r.queries.push_back(r.all.back());
+  }
+  return r;
+}
+
+TEST(CodecDifferential, GoldenTranscriptsAnswerAlikeCodecOrDomBuilt) {
+  const std::filesystem::path dir =
+      std::filesystem::path(PMONGE_SOURCE_DIR) / "tests" / "golden";
+  std::size_t compared = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() != ".txt") continue;
+    const Transcript t = read_transcript(e.path());
+    const std::string file = e.path().filename().string();
+    // Codec-built and DOM-built requests get the same bytes for every
+    // exact answer, cache on or off, cold and warm; and query answers do
+    // not depend on the cache.
+    const Replayed cold_ref = replay(t, false, false);
+    for (const bool cache : {true, false}) {
+      const Replayed want = replay(t, false, cache);
+      const Replayed got = replay(t, true, cache);
+      ASSERT_EQ(got.all.size(), want.all.size()) << file;
+      for (std::size_t i = 0; i < got.all.size(); ++i) {
+        if (i < t.exact.size() && !t.exact[i]) continue;  // timings
+        EXPECT_EQ(got.all[i], want.all[i])
+            << file << " answer " << i << " cache=" << cache;
+        ++compared;
+      }
+      ASSERT_EQ(got.queries.size(), cold_ref.queries.size()) << file;
+      for (std::size_t i = 0; i < got.queries.size(); ++i) {
+        EXPECT_EQ(got.queries[i], cold_ref.queries[i])
+            << file << " query answer " << i << " cache=" << cache;
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);
+}
+
+TEST(CodecDifferential, FuzzCorpusAnswersAlikeCodecOrDomBuilt) {
+  // The fuzz lines name arrays 0 and 1 and rows 0..2 often enough to hit
+  // real answers; the rest exercise the error envelopes.
+  const std::vector<std::string> setup = {
+      R"({"op":"register_random","rows":3,"cols":4,"seed":1})",
+      R"({"op":"register_random","rows":3,"cols":4,"seed":2})"};
+  LineGen gen(20261021);
+  std::vector<std::string> lines;
+  for (int i = 0; i < 4000; ++i) lines.push_back(gen.next());
+  const auto answers = [&](bool codec, bool cache) {
+    ServiceOptions o;
+    o.fast_path = codec;
+    if (!cache) o.cache_capacity = 0;
+    Service svc(o);
+    for (const std::string& l : setup) svc.request(l);
+    std::vector<std::string> out;
+    for (int pass = 0; pass < 2; ++pass) {  // cold, then warm
+      for (const std::string& l : lines) out.push_back(svc.request(l));
+    }
+    return out;
+  };
+  const std::vector<std::string> want = answers(false, false);
+  for (const bool codec : {true, false}) {
+    for (const bool cache : {true, false}) {
+      const std::vector<std::string> got = answers(codec, cache);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i], want[i]) << "line: " << lines[i % lines.size()]
+                                   << " codec=" << codec << " cache=" << cache;
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------------------

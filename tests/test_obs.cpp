@@ -242,9 +242,14 @@ TEST_F(ObsTest, ServeTraceOpEmitsWorkerLanes) {
     Service svc2(opts);
     svc2.request(
         R"({"op":"register_random","rows":128,"cols":128,"seed":9})");
+    // Traced queries run inline on an idle service; a held worker makes
+    // each of these a worker batch of its own.
     for (int r = 0; r < 8; ++r) {
-      svc2.request(R"({"op":"rowmin","array":0,"row":)" +
-                   std::to_string(r * 16) + "}");
+      svc2.pause();
+      auto answer = svc2.submit(R"({"op":"rowmin","array":0,"row":)" +
+                                std::to_string(r * 16) + "}");
+      svc2.resume();
+      answer.get();
     }
     const std::string resp = svc2.request(R"({"op":"trace"})");
     const Json j = Json::parse(resp);

@@ -126,6 +126,56 @@ TEST(Cache, ZeroCapacityDisables) {
   EXPECT_EQ(cache.stats().entries, 0u);
 }
 
+TEST(Cache, KeysSharingAHashStayDistinct) {
+  // The index compares (stored hash, key bytes): two keys forced under
+  // one hash must each keep their own value through get, put, refresh,
+  // eviction and invalidate_tag.
+  ShardedLruCache cache(3, 1);
+  constexpr std::uint64_t kHash = 42;
+  std::string out;
+  cache.put_tagged("alpha", kHash, "A", {1});
+  cache.put_tagged("beta", kHash, "B", {2});
+  EXPECT_TRUE(cache.get("alpha", kHash, out));
+  EXPECT_EQ(out, "A");
+  out.clear();
+  EXPECT_TRUE(cache.get("beta", kHash, out));
+  EXPECT_EQ(out, "B");
+  out.clear();
+  EXPECT_FALSE(cache.get("gamma", kHash, out));
+  cache.put_tagged("beta", kHash, "B2", {2});  // refresh, not a new entry
+  cache.put_tagged("gamma", kHash, "C", {3});
+  EXPECT_EQ(cache.stats().entries, 3u);
+  cache.put_tagged("delta", kHash, "D", {4});  // evicts alpha, the LRU
+  EXPECT_FALSE(cache.get("alpha", kHash, out));
+  EXPECT_TRUE(cache.get("beta", kHash, out));
+  EXPECT_EQ(out, "B2");
+  EXPECT_EQ(cache.invalidate_tag(3), 1u);  // gamma only
+  out.clear();
+  EXPECT_FALSE(cache.get("gamma", kHash, out));
+  EXPECT_TRUE(cache.get("delta", kHash, out));
+  EXPECT_EQ(out, "D");
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().entries, 2u);
+}
+
+TEST(Cache, ChecksumSeesEveryOneByteFlip) {
+  // The poisoning detector folds 8-byte words then the tail bytes; every
+  // step is a bijection of its state, so any one flipped byte of a value
+  // changes the checksum -- across word boundaries and in the tail.
+  for (std::size_t len = 1; len <= 40; ++len) {
+    std::string v(len, '\0');
+    for (std::size_t i = 0; i < len; ++i) v[i] = static_cast<char>('a' + i);
+    const std::uint64_t sum = cache_checksum(v);
+    for (std::size_t i = 0; i < len; ++i) {
+      for (const unsigned char flip : {0x01, 0x40, 0x80, 0xff}) {
+        std::string w = v;
+        w[i] = static_cast<char>(w[i] ^ flip);
+        EXPECT_NE(cache_checksum(w), sum) << "len " << len << " byte " << i;
+      }
+    }
+  }
+}
+
 TEST(Cache, ConcurrentHammerIsConsistent) {
   ThreadGuard tg;
   exec::set_num_threads(8);
@@ -514,8 +564,8 @@ TEST(Service, UnmeetableDeadlinesRejectedAtAdmission) {
 TEST(Service, UnknownArrayPricesAtZeroAndExpiresInTheQueue) {
   // An unregistered array has shape 0 x 0, which prices at exactly 0 us,
   // so even a zero deadline is not unmeetable at admission: the line
-  // queues (a deadline keeps it off the inline path) and the worker finds
-  // its deadline passed.
+  // runs inline, and finds its deadline passed by the queue's rule
+  // (now >= deadline), answering with the worker's bytes.
   ServiceOptions opts;
   opts.cache_capacity = 0;
   Service svc(opts);
@@ -528,7 +578,106 @@ TEST(Service, UnknownArrayPricesAtZeroAndExpiresInTheQueue) {
   const Json& rowmin = stats.at("endpoints").at("rowmin");
   EXPECT_EQ(rowmin.at("unmeetable").as_int(), 0);
   EXPECT_EQ(rowmin.at("expired").as_int(), 1);
-  EXPECT_EQ(stats.at("queue").at("admitted").as_int(), 1);
+  EXPECT_EQ(stats.at("queue").at("admitted").as_int(), 0);
+}
+
+TEST(Service, DoublesAnswerAsWithoutACache) {
+  // A number written as a double is not an integer, cold or warm: "row":
+  // 1.0 answers what a cache-off service answers, even right after
+  // "row":1 was cached.
+  ServiceOptions off;
+  off.cache_capacity = 0;
+  Service cached, uncached(off);
+  reg_random(cached, 8, 8, 4);
+  reg_random(uncached, 8, 8, 4);
+  const std::vector<std::string> lines = {
+      R"({"op":"rowmin","id":1,"array":0,"row":1})",
+      R"({"op":"rowmin","id":2,"array":0,"row":1.0})",
+      R"({"op":"rowmin","id":3,"array":0,"row":1e0})",
+      R"({"op":"rowmin","id":4,"array":0,"row":10e-1})",
+      R"({"op":"rowmin","id":5,"array":0.0,"row":1})",
+      R"({"op":"rowmin","id":6,"array":0,"row":1})"};
+  for (int pass = 0; pass < 2; ++pass) {  // cold, then warm
+    for (const std::string& line : lines) {
+      const std::string want = uncached.request(line);
+      EXPECT_EQ(cached.request(line), want) << "pass " << pass << ": " << line;
+      if (line.find("1.0") != std::string::npos ||
+          line.find("e") != std::string::npos) {
+        EXPECT_NE(want.find("expected integer"), std::string::npos) << want;
+      }
+    }
+  }
+  // "array":0.0 is not an integer operand id either.
+  EXPECT_NE(uncached.request(lines[4]).find("missing or non-integer field"),
+            std::string::npos);
+  EXPECT_GE(cached.cache_stats().hits, 2u);
+}
+
+TEST(Service, EveryQueryLineCountsOneHitOrOneMiss) {
+  // Inline misses (probed at admission), queued lines (probed again by
+  // the worker), admission hits and traced lines (probed by the batcher
+  // only): each query line counts exactly one cache hit or one miss, in
+  // the cache's counters and in its endpoint's.
+  Service svc;
+  reg_random(svc, 16, 16, 7);
+  std::size_t queries = 0;
+  const auto rowmin = [&](int row) {
+    ++queries;
+    return svc.request(R"({"op":"rowmin","array":0,"row":)" +
+                       std::to_string(row) + "}");
+  };
+  for (int row = 0; row < 8; ++row) rowmin(row);  // inline misses
+  for (int row = 0; row < 8; ++row) rowmin(row);  // admission hits
+  svc.pause();
+  std::vector<std::future<std::string>> queued;
+  for (int row = 4; row < 12; ++row) {  // queued: 4 hits, 4 misses
+    queued.push_back(svc.submit(R"({"op":"rowmin","array":0,"row":)" +
+                                std::to_string(row) + "}"));
+    ++queries;
+  }
+  svc.resume();
+  for (auto& f : queued) f.get();
+  obs::set_enabled(true);
+  for (int row = 10; row < 14; ++row) rowmin(row);  // traced: 2 hits
+  obs::set_enabled(false);
+  obs::reset();
+  rowmin(99);  // out of range: a miss that errors
+  const CacheStats cs = svc.cache_stats();
+  EXPECT_EQ(cs.hits + cs.misses, queries);
+  EXPECT_EQ(cs.hits, 8u + 4u + 2u);
+  const Json st = Json::parse(svc.request(R"({"op":"stats"})")).at("result");
+  const Json& em = st.at("endpoints").at("rowmin");
+  EXPECT_EQ(em.at("cache_hits").as_int() + em.at("cache_misses").as_int(),
+            static_cast<std::int64_t>(queries));
+  EXPECT_EQ(em.at("cache_hits").as_int(), static_cast<std::int64_t>(cs.hits));
+}
+
+TEST(Service, ExplainPricesASubmatrixQueryAtItsRegion) {
+  // The direct plan is priced at the queried region, not the operand.
+  Service svc;
+  reg_random(svc, 4096, 1024, 3);
+  const auto plan_of = [&](const std::string& region) {
+    const Json j = Json::parse(svc.request(
+        R"({"op":"explain","query":{"op":"submatrix_min","array":0,)" +
+        region + "}}"));
+    return j.at("result").at("plan");
+  };
+  const Json wide = plan_of(R"("r0":100,"r1":3000,"c0":10,"c1":900)");
+  EXPECT_EQ(wide.at("shape").at("rows").as_int(), 2901);
+  EXPECT_EQ(wide.at("shape").at("cols").as_int(), 891);
+  EXPECT_FALSE(wide.at("use_index").as_bool());
+  const plan::Planner planner(plan::builtin_profile(), true,
+                              exec::num_threads());
+  const double whole = planner.predicted_us(
+      plan::QueryShape{plan::OpClass::SubmatrixSearch, 4096, 1024, 1});
+  EXPECT_LT(wide.at("predicted_us").as_double(), whole);
+  const Json cell = plan_of(R"("r0":7,"r1":7,"c0":9,"c1":9)");
+  EXPECT_EQ(cell.at("shape").at("rows").as_int(), 1);
+  EXPECT_EQ(cell.at("shape").at("cols").as_int(), 1);
+  EXPECT_EQ(cell.at("algo").as_string(), "brute");
+  // A malformed region prices at the whole operand, as before it fails.
+  const Json bad = plan_of(R"("r0":9,"r1":7,"c0":0,"c1":9)");
+  EXPECT_EQ(bad.at("shape").at("rows").as_int(), 4096);
 }
 
 TEST(Service, ConcurrentSubmittersGetConsistentAnswers) {
@@ -685,7 +834,7 @@ TEST(InlineRule, WorkPricedAboveTheAllowanceRunsOnTheWorker) {
   EXPECT_EQ(st.at("batches").at("count").as_int(), 1);
 }
 
-TEST(InlineRule, PauseTracingFaultsDeadlinesAndExplainQueue) {
+TEST(InlineRule, PauseFaultsAndExplainQueue) {
   const std::string cheap = R"({"op":"rowmin","array":0,"row":1})";
   // Each case answers on the worker and leaves the allowance untouched.
   const auto expect_queued = [](Service& svc, const std::string& line,
@@ -713,29 +862,86 @@ TEST(InlineRule, PauseTracingFaultsDeadlinesAndExplainQueue) {
   {
     Service svc;
     reg_random(svc, 16, 16, 2);
-    obs::set_enabled(true);
-    expect_queued(svc, cheap, "tracing: ");
-    obs::set_enabled(false);
-    obs::reset();
     fault::arm(1, 0);  // armed, never fires
     expect_queued(svc, R"({"op":"rowmin","array":0,"row":2})", "faults: ");
     fault::disarm();
     expect_queued(
-        svc, R"({"op":"rowmin","array":0,"row":3,"deadline_ms":60000})",
-        "deadline_ms: ");
-    expect_queued(
         svc, R"({"op":"explain","query":{"op":"rowmin","array":0,"row":4}})",
         "explain: ");
     EXPECT_EQ(inline_count(svc), 0);
+  }
+}
+
+TEST(InlineRule, TracingAndDeadlinesStayInline) {
+  // Observation does not change the path: a traced query, one with its
+  // own deadline and one inheriting --deadline-ms all run on the
+  // submitting thread, and answer what an untraced, deadline-free
+  // service does.
+  const auto expect_inline = [](Service& svc, const std::string& line,
+                                const char* why) {
+    InlineAllowance allowance;
+    const auto p = probe_submit(svc, line, allowance);
+    EXPECT_TRUE(p->before_return) << why;
+    const std::string resp = p->fut.get();
+    EXPECT_EQ(p->thread, std::this_thread::get_id()) << why;
+    EXPECT_LT(allowance.left_us, kInlineAllowanceUs) << why;
+    Service plain;
+    reg_random(plain, 16, 16, 2);
+    Json req = Json::parse(line);
+    req.obj().erase("deadline_ms");
+    req.obj().erase("trace_id");
+    EXPECT_EQ(resp, plain.request(req.dump())) << why;
+  };
+  {
+    Service svc;
+    reg_random(svc, 16, 16, 2);
+    obs::set_enabled(true);
+    expect_inline(svc, R"({"op":"rowmin","id":1,"array":0,"row":1})",
+                  "tracing: ");
+    expect_inline(
+        svc, R"({"op":"rowmin","id":2,"array":0,"row":2,"trace_id":9})",
+        "trace_id: ");
+    obs::set_enabled(false);
+    obs::reset();
+    expect_inline(
+        svc, R"({"op":"rowmin","id":3,"array":0,"row":3,"deadline_ms":60000})",
+        "deadline_ms: ");
+    EXPECT_EQ(inline_count(svc), 3);
   }
   {
     ServiceOptions opts;
     opts.default_deadline_ms = 60000;  // a deadline the request inherits
     Service svc(opts);
     reg_random(svc, 16, 16, 2);
-    expect_queued(svc, cheap, "default deadline: ");
-    EXPECT_EQ(inline_count(svc), 0);
+    expect_inline(svc, R"({"op":"rowmin","id":4,"array":0,"row":1})",
+                  "default deadline: ");
+    EXPECT_EQ(inline_count(svc), 1);
   }
+}
+
+TEST(InlineRule, TracedInlineQueryEmitsOneRequestSpan) {
+  Service svc;
+  reg_random(svc, 16, 16, 2);
+  obs::reset();
+  obs::set_enabled(true);
+  InlineAllowance allowance;
+  const auto p = probe_submit(
+      svc, R"({"op":"rowmin","id":1,"array":0,"row":5,"trace_id":77})",
+      allowance);
+  EXPECT_TRUE(p->before_return);
+  p->fut.get();
+  obs::set_enabled(false);
+  const obs::Snapshot snap = obs::collect();
+  obs::reset();
+  std::size_t requests = 0;
+  for (const obs::SpanRecord& r : snap.spans) {
+    if (std::string_view(r.name) != "serve.request") continue;
+    ++requests;
+    EXPECT_EQ(r.trace_id, 77u);
+    EXPECT_EQ(std::string_view(r.detail), "rowmin");
+  }
+  EXPECT_EQ(requests, 1u);
+  EXPECT_EQ(inline_count(svc), 1);
 }
 
 TEST(InlineRule, OneReadInlinesOnlyThePrefixItsAllowanceCovers) {
