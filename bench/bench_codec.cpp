@@ -99,11 +99,11 @@ std::vector<std::string> request_lines() {
   return lines;
 }
 
-/// The most heap allocations a warm inline miss may make: the request's
-/// signature, the outcome's bytes, the handler's own vectors and the
-/// response string the callback form hands over (at the codec-at-the-
-/// front rework 25-28 were made).
-constexpr double kMaxMissAllocs = 10.0;
+/// The most heap allocations a warm inline miss may make through
+/// Service::submit_line, the front-ends' call: the request's signature,
+/// the outcome's bytes and the handler's own vectors; the lines below
+/// average 4.43 (before the codec-at-the-front rework 25-28 were made).
+constexpr double kMaxMissAllocs = 5.0;
 
 /// Distinct query lines in burst_mix's mix over a `rows` x `cols` Monge
 /// operand (array 0, indexed) and a staircase one (array 1): none
@@ -337,15 +337,18 @@ int main(int argc, char** argv) {
             dims + "}");
     control(R"({"op":"index_build","array":0})");
 
+    // The front-ends' call: each answer appended to one reused buffer,
+    // as the rpc loop appends to a connection's outbound bytes.
     std::string resp;
-    const Service::ResponseCallback done = [&resp](std::string r) {
-      resp = std::move(r);
-    };
+    const auto queued = []() -> Service::ResponseCallback { std::abort(); };
     const auto answer = [&](std::size_t from, std::size_t to) {
       for (std::size_t i = from; i < to; ++i) {
         pmonge::serve::InlineAllowance allowance;
-        svc.submit_cb(lines[i], done, allowance);
-        if (resp.find("\"ok\":true") == std::string::npos) std::abort();
+        resp.clear();
+        if (!svc.submit_line(lines[i], resp, allowance, queued) ||
+            resp.find("\"ok\":true") == std::string::npos) {
+          std::abort();
+        }
       }
     };
     answer(0, kWarmLines);

@@ -72,6 +72,20 @@ Ring& my_ring() {
   return *t_ring;
 }
 
+/// Store one record under r.mu, dropping the oldest when full; returns
+/// its slot.
+SpanRecord& append_locked(Ring& r, const SpanRecord& rec) {
+  SpanRecord& slot = r.slots[r.head];
+  slot = rec;
+  if (++r.head == r.cap) r.head = 0;
+  if (r.size == r.cap) {
+    ++r.dropped_full;  // the slot we just reused held the oldest span
+  } else {
+    ++r.size;
+  }
+  return slot;
+}
+
 /// Writer-side append: non-blocking (try_lock), drop-oldest when full.
 void push(Ring& r, const SpanRecord& rec) {
   std::unique_lock<std::mutex> lk(r.mu, std::try_to_lock);
@@ -80,13 +94,7 @@ void push(Ring& r, const SpanRecord& rec) {
     return;
   }
   if (r.slots.size() != r.cap) r.slots.resize(r.cap);
-  r.slots[r.head] = rec;
-  r.head = (r.head + 1) % r.cap;
-  if (r.size == r.cap) {
-    ++r.dropped_full;  // the slot we just reused held the oldest span
-  } else {
-    ++r.size;
-  }
+  append_locked(r, rec);
 }
 
 bool init_enabled() {
@@ -112,8 +120,17 @@ void set_enabled(bool on) {
 }
 
 std::uint64_t new_trace_id() {
-  return g_next_trace_id.fetch_add(1, std::memory_order_relaxed);
+  constexpr std::uint64_t kBlock = 256;
+  thread_local std::uint64_t next = 0;
+  thread_local std::uint64_t end = 0;
+  if (next == end) {
+    next = g_next_trace_id.fetch_add(kBlock, std::memory_order_relaxed);
+    end = next + kBlock;
+  }
+  return next++;
 }
+
+std::uint32_t this_lane() { return my_ring().lane; }
 
 std::uint64_t current_trace_id() { return t_trace_id; }
 
@@ -173,11 +190,11 @@ void emit(SpanRecord rec) {
   if (!enabled()) return;
   if (rec.trace_id == 0) rec.trace_id = t_trace_id;
   Ring& r = my_ring();
-  rec.lane = r.lane;
+  if (rec.lane == kThisLane) rec.lane = r.lane;
   push(r, rec);
 }
 
-void emit_all(const std::vector<SpanRecord>& recs) {
+void emit_all(std::span<const SpanRecord> recs) {
   if (recs.empty() || !enabled()) return;
   Ring& r = my_ring();
   std::unique_lock<std::mutex> lk(r.mu, std::try_to_lock);
@@ -186,16 +203,10 @@ void emit_all(const std::vector<SpanRecord>& recs) {
     return;
   }
   if (r.slots.size() != r.cap) r.slots.resize(r.cap);
-  for (SpanRecord rec : recs) {
-    if (rec.trace_id == 0) rec.trace_id = t_trace_id;
-    rec.lane = r.lane;
-    r.slots[r.head] = rec;
-    r.head = (r.head + 1) % r.cap;
-    if (r.size == r.cap) {
-      ++r.dropped_full;
-    } else {
-      ++r.size;
-    }
+  for (const SpanRecord& rec : recs) {
+    SpanRecord& slot = append_locked(r, rec);
+    if (slot.trace_id == 0) slot.trace_id = t_trace_id;
+    if (slot.lane == kThisLane) slot.lane = r.lane;
   }
 }
 

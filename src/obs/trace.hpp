@@ -30,11 +30,15 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace pmonge::obs {
+
+/// SpanRecord::lane's default: the lane of the thread that emits it.
+inline constexpr std::uint32_t kThisLane = 0xffffffffu;
 
 /// One closed span.  `name` and `arg_name` must be static-lifetime
 /// strings (literals); `detail` is a short truncating copy for dynamic
@@ -48,7 +52,7 @@ struct SpanRecord {
   std::uint64_t charged_time = 0;  // simulated-PRAM steps covered
   std::uint64_t charged_work = 0;  // simulated-PRAM work covered
   std::uint64_t arg = 0;
-  std::uint32_t lane = 0;          // thread lane (see Snapshot::lanes)
+  std::uint32_t lane = kThisLane;  // thread lane (see Snapshot::lanes)
   char detail[20] = {};            // NUL-terminated, truncating
 
   void set_detail(std::string_view d) {
@@ -65,10 +69,16 @@ struct SpanRecord {
 bool enabled();
 void set_enabled(bool on);
 
-/// Fresh process-unique trace id (monotone from 1).  Client-supplied ids
-/// (the "trace_id" request field) share the same namespace; collisions
-/// are the client's concern.
+/// Fresh process-unique trace id (from 1).  Each thread takes ids from
+/// the shared counter a block at a time, so minting is a thread-local
+/// increment and one thread's ids ascend.  Client-supplied ids (the
+/// "trace_id" request field) share the same namespace; collisions are
+/// the client's concern.
 std::uint64_t new_trace_id();
+
+/// The calling thread's lane (registered at first use), for a record
+/// that another thread emits on its behalf.
+std::uint32_t this_lane();
 
 /// The calling thread's current trace id (0 = none).
 std::uint64_t current_trace_id();
@@ -115,9 +125,9 @@ class Span {
 };
 
 /// Record a fully-formed span (caller supplies start_us/dur_us, e.g. a
-/// request interval measured against the admission clock).  Lane is
-/// filled from the calling thread; trace_id is filled from the thread
-/// context when zero.  No-op when tracing is off.
+/// request interval measured against the admission clock).  A lane of
+/// kThisLane is filled from the calling thread; trace_id is filled from
+/// the thread context when zero.  No-op when tracing is off.
 void emit(SpanRecord rec);
 
 /// Emit many fully-formed spans with a single ring reservation -- one
@@ -126,7 +136,7 @@ void emit(SpanRecord rec);
 /// tracing cost that scales with query throughput.  All-or-nothing on
 /// collector contention (every span counted dropped).  No-op when
 /// tracing is off.
-void emit_all(const std::vector<SpanRecord>& recs);
+void emit_all(std::span<const SpanRecord> recs);
 
 struct Snapshot {
   std::vector<SpanRecord> spans;     // in per-lane ring order

@@ -38,10 +38,10 @@ Plan Planner::plan(const QueryShape& shape) const {
   return p;
 }
 
-bool Planner::prefer_index(const QueryShape& operand,
-                           const Plan& direct) const {
+bool Planner::prefer_index(const QueryShape& operand) const {
   if (!enabled_) return true;
-  return index_lookup_ns(profile_, operand) < direct.predicted_us * 1000.0;
+  return index_lookup_ns(profile_, operand) <
+         plan(operand).predicted_us * 1000.0;
 }
 
 }  // namespace pmonge::plan

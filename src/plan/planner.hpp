@@ -49,14 +49,16 @@ class Planner {
   }
 
   /// For a submatrix group with a built index available: should the
-  /// lookup go through the index rather than run `direct`, the plan the
-  /// group holds for its regions?  `operand` is the indexed operand's
-  /// whole shape (batch = the group's): the nodes a lookup visits depend
-  /// on the tree, not on the region.  Disabled planner -> always true
-  /// (fixed dispatch uses an index whenever one exists).  Enabled ->
-  /// compare index_lookup_ns at `operand` against direct's price.  Either
-  /// way the answer never changes the response bytes, only the route.
-  bool prefer_index(const QueryShape& operand, const Plan& direct) const;
+  /// lookup go through the index rather than a direct solve?  `operand`
+  /// is the indexed operand's whole shape (batch = the group's): the
+  /// nodes a lookup visits depend on the tree, not on the region, and the
+  /// direct solve is weighed at the same shape, since the sequential
+  /// price of a small region reads several times below what it measures
+  /// (ROADMAP item 6).  Disabled planner -> always true (fixed dispatch
+  /// uses an index whenever one exists).  Enabled -> compare
+  /// index_lookup_ns against plan(operand)'s price.  Either way the
+  /// answer never changes the response bytes, only the route.
+  bool prefer_index(const QueryShape& operand) const;
 
   bool enabled() const { return enabled_; }
   const CostProfile& profile() const { return profile_; }

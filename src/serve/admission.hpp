@@ -48,16 +48,17 @@ class AdmissionQueue {
 
   explicit AdmissionQueue(std::size_t capacity) : capacity_(capacity) {}
 
-  /// Admit `item` unless the queue is full.  Never blocks.
-  AdmitResult try_push(T item,
-                       ServeClock::time_point deadline = kNoDeadline) {
+  /// Admit `item`, stamped `enqueued`, unless the queue is full.  Never
+  /// blocks.
+  AdmitResult try_push(T item, ServeClock::time_point deadline = kNoDeadline,
+                       ServeClock::time_point enqueued = ServeClock::now()) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (q_.size() >= capacity_) {
         ++overloaded_;
         return AdmitResult::Overloaded;
       }
-      q_.push_back(Entry{std::move(item), ServeClock::now(), deadline});
+      q_.push_back(Entry{std::move(item), enqueued, deadline});
       ++admitted_;
       if (q_.size() > high_water_) high_water_ = q_.size();
     }

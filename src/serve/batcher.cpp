@@ -621,7 +621,7 @@ plan::QueryShape query_shape(const Request& req, const ArrayEntry* operand) {
   } else {
     for (const char* key : {"points", "p", "q"}) {
       const Field f = req.find(key);
-      if (f.raw().starts_with('[')) s.rows += f.parse().arr().size();
+      if (f.raw().starts_with('[')) s.rows += f.array_size();
     }
   }
   return s;
@@ -745,17 +745,15 @@ void Batcher::dispatch_group(std::span<Member> ms) {
   }
 }
 
-std::shared_ptr<index::Index> Batcher::index_for(
-    const Request& req, const ArrayEntry& operand,
-    const plan::QueryShape& shape, const plan::Plan& direct) const {
+std::shared_ptr<index::Index> Batcher::index_for(const Request& req,
+                                                 const ArrayEntry& operand,
+                                                 std::size_t batch) const {
   // Route through the index only when one exists for the operand and the
-  // planner predicts its O(lg m) lookups beat `direct`, the group's plan
-  // at its region (docs/indexing.md).
+  // planner predicts its O(lg m) lookups beat a direct solve of the
+  // whole operand (docs/indexing.md).
   const std::int64_t id = operand_id(req, op_spec(req.op).operands[0]);
   auto idx = id < 0 ? nullptr : indexes_.get(static_cast<std::uint64_t>(id));
-  return idx != nullptr &&
-                 planner_.prefer_index(index_shape(operand, shape.batch),
-                                       direct)
+  return idx != nullptr && planner_.prefer_index(index_shape(operand, batch))
              ? idx
              : nullptr;
 }
@@ -816,7 +814,7 @@ void Batcher::dispatch_group_once(std::span<Member> ms, bool degraded) {
         // solver -- same bytes either way, so the route is free to vary.
         run_submatrix_group(
             ms, arrays[0],
-            degraded ? nullptr : index_for(front, *arrays[0], shape, pl),
+            degraded ? nullptr : index_for(front, *arrays[0], ms.size()),
             spec.maxima, pl);
         break;
       case Op::TubeMax:
@@ -901,10 +899,11 @@ void Batcher::run_explain(const Request& req, BatchOutcome& out) {
   plan_o["planner_enabled"] = planner_.enabled();
   if (shape.op == plan::OpClass::SubmatrixSearch) {
     // Whether the non-degraded dispatch would route through the index,
-    // and then the index price prefer_index weighed against
-    // predicted_us: actual_us times the index route.
+    // and then the index price, which prefer_index weighed against a
+    // direct solve of the whole operand (predicted_us is the direct
+    // route's price at the region): actual_us times the index route.
     const bool use_index =
-        ops[0] != nullptr && index_for(inner, *ops[0], shape, pl) != nullptr;
+        ops[0] != nullptr && index_for(inner, *ops[0], 1) != nullptr;
     plan_o["use_index"] = use_index;
     if (use_index) {
       plan_o["index_predicted_us"] =

@@ -164,8 +164,7 @@ class Batcher {
   plan::Plan plan_for(const plan::QueryShape& shape, bool degraded) const;
   std::shared_ptr<index::Index> index_for(const Request& req,
                                           const ArrayEntry& operand,
-                                          const plan::QueryShape& shape,
-                                          const plan::Plan& direct) const;
+                                          std::size_t batch) const;
   void run_explain(const Request& req, BatchOutcome& out);
   bool breaker_open() const;
   void note_failure();

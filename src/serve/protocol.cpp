@@ -128,6 +128,15 @@ std::string_view Field::as_string(std::string& scratch) const {
   return scratch;
 }
 
+std::size_t Field::array_size() const {
+  std::size_t n = 0;
+  for (std::size_t pos = 1; pos < raw_.size() && raw_[pos] != ']';
+       pos = skip_value(raw_, pos) + 1) {  // past ',' or the closing ']'
+    ++n;
+  }
+  return n;
+}
+
 void Request::index_fields() {
   std::uint8_t n = 0;
   const bool overflow = scan_members(signature, [&](const FieldSpan& f) {

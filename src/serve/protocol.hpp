@@ -153,6 +153,9 @@ class Field {
   /// A nested value (an array of points, explain's inner query), parsed
   /// on demand from its canonical bytes.
   Json parse() const { return Json::parse(raw_); }
+  /// The number of elements of an array value (raw() starts with '['),
+  /// counted without parsing them.
+  std::size_t array_size() const;
   std::string_view raw() const { return raw_; }
 
  private:

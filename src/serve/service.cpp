@@ -56,8 +56,8 @@ bool Service::hit_probe_applies(Op op, std::int64_t deadline_ms) const {
          !obs::enabled() && !fault::armed();
 }
 
-bool Service::serve_hit(const FastQuery& q, std::string& out) {
-  const auto t0 = ServeClock::now();
+bool Service::serve_hit(const FastQuery& q, ServeClock::time_point arrived,
+                        std::string& out) {
   const std::size_t mark = out.size();
   const std::size_t warm_capacity = out.capacity();
   if (q.id != kNoId) {
@@ -79,7 +79,7 @@ bool Service::serve_hit(const FastQuery& q, std::string& out) {
   em.requests.add();
   em.cache_hits.add();
   em.ok.add();
-  em.latency_us.record(us_between(t0, ServeClock::now()));
+  em.latency_us.record(us_between(arrived, ServeClock::now()));
   support::alloc_note_fast_path_hit();
   if (out.capacity() == warm_capacity && warm_capacity != 0) {
     support::alloc_note_pool_hit();
@@ -92,12 +92,51 @@ bool Service::serve_hit(const FastQuery& q, std::string& out) {
 bool Service::try_serve_fast(std::string_view line, std::string& out) {
   FastQuery q;
   return opts_.fast_path && thread_codec().canonicalize_query(line, q) &&
-         hit_probe_applies(q.op, q.deadline_ms) && serve_hit(q, out);
+         hit_probe_applies(q.op, q.deadline_ms) &&
+         serve_hit(q, ServeClock::now(), out);
 }
+
+namespace {
+
+/// `rec` as a span over [from, to] for a request of op `op`,
+/// reconstructed from timestamps the path reads anyway (the RAII Span
+/// cannot straddle threads, and would read the clock twice more).  It
+/// lands on the emitting thread's lane unless `lane` names another.
+obs::SpanRecord& set_interval(obs::SpanRecord& rec, const char* name, Op op,
+                              std::uint64_t trace_id,
+                              ServeClock::time_point from,
+                              ServeClock::time_point to,
+                              std::uint32_t lane = obs::kThisLane) {
+  rec.name = name;
+  rec.trace_id = trace_id;
+  rec.start_us = obs::to_trace_us(from);
+  // Both ends on the trace's microsecond grid, as a Span's are, so spans
+  // that end together end at the same microsecond.
+  const std::uint64_t end_us = obs::to_trace_us(to);
+  rec.dur_us = end_us > rec.start_us ? end_us - rec.start_us : 0;
+  rec.lane = lane;
+  rec.set_detail(op_spec(op).name);
+  return rec;
+}
+
+}  // namespace
 
 bool Service::submit_line(std::string_view line, std::string& out,
                           InlineAllowance& allowance,
-                          QueuedCallback queued) {
+                          const std::function<ResponseCallback()>& queued) {
+  // The line's one arrival stamp: where its latency, its deadline and
+  // (traced) its serve.admit span start, and a queued line's enqueue
+  // stamp.
+  const auto arrived = ServeClock::now();
+  const bool traced = obs::enabled();
+  // A line admission answers itself gets a serve.admit span to its end.
+  const auto admit_span = [&](Op op, std::uint64_t trace_id) {
+    if (!traced) return;
+    obs::SpanRecord rec;
+    obs::emit(set_interval(rec, "serve.admit", op, trace_id, arrived,
+                           ServeClock::now()));
+  };
+
   // The codec's one pass: a query it accepts brings its signature and
   // hash from here to the cache probe, the handler and the cache insert.
   FastQuery q;
@@ -106,11 +145,10 @@ bool Service::submit_line(std::string_view line, std::string& out,
                      op_spec(q.op).query;
   bool probe_missed = false;
   if (coded && hit_probe_applies(q.op, q.deadline_ms)) {
-    if (serve_hit(q, out)) return true;
+    if (serve_hit(q, arrived, out)) return true;
     probe_missed = true;
   }
 
-  obs::Span span("serve.admit");
   Request req;
   if (coded) {
     req.id = q.id;
@@ -131,35 +169,30 @@ bool Service::submit_line(std::string_view line, std::string& out,
       std::string msg = e.what();
       if (!msg.starts_with("bad_request: ")) msg = "parse_error: " + msg;
       append_error_response(req.id, msg, out);
+      admit_span(req.op, req.trace_id);
       return true;
     }
   }
-  span.set_detail(op_spec(req.op).name);
 
   if (!op_spec(req.op).query) {
-    span.set_trace(req.trace_id);
     EndpointMetrics& em = metrics_.endpoint(req.op);
     em.requests.add();
-    const auto t0 = ServeClock::now();
     out += handle_control(req);
-    em.latency_us.record(us_between(t0, ServeClock::now()));
+    em.latency_us.record(us_between(arrived, ServeClock::now()));
+    admit_span(req.op, req.trace_id);
     return true;
   }
 
   // Query ops: mint a trace id when tracing is on and the client did not
   // supply one.  The id rides the Request (envelope field), never the
   // response, so answer bytes stay identical tracing on or off.
-  if (req.trace_id == 0 && obs::enabled()) {
-    req.trace_id = obs::new_trace_id();
-  }
-  span.set_trace(req.trace_id);
+  if (req.trace_id == 0 && traced) req.trace_id = obs::new_trace_id();
 
   std::int64_t deadline_ms = req.deadline_ms;
   if (deadline_ms < 0) deadline_ms = opts_.default_deadline_ms;
-  const auto deadline =
-      deadline_ms < 0
-          ? kNoDeadline
-          : ServeClock::now() + std::chrono::milliseconds(deadline_ms);
+  const auto deadline = deadline_ms < 0
+                            ? kNoDeadline
+                            : arrived + std::chrono::milliseconds(deadline_ms);
 
   EndpointMetrics& em = metrics_.endpoint(req.op);
 
@@ -194,10 +227,11 @@ bool Service::submit_line(std::string_view line, std::string& out,
             std::to_string(static_cast<std::int64_t>(std::llround(price_us))) +
             "us exceeds deadline " + std::to_string(deadline_ms) + "ms",
         out);
+    admit_span(req.op, req.trace_id);
     return true;
   }
   if (may_inline && allowance.take(price_us)) {
-    answer_inline(req, admitted, deadline, out);
+    answer_inline(req, admitted, deadline, arrived, traced, out);
     return true;
   }
 
@@ -209,14 +243,22 @@ bool Service::submit_line(std::string_view line, std::string& out,
   }
   // The request owns its signature and resolves its operands again when
   // it runs, and the worker probes the cache again: a duplicate may have
-  // been cached while it waited.
+  // been cached while it waited.  It is enqueued at its arrival stamp,
+  // so its latency and its serve.request span cover its admission;
+  // traced, the worker emits its serve.admit span, the arrival instant,
+  // on this thread's lane.
   const ResponseCallback done = queued();
   const std::int64_t id = req.id;
-  Pending p{std::move(req), done};  // `done` stays copied for the reject path
-  if (queue_->try_push(std::move(p), deadline) == AdmitResult::Overloaded) {
+  const Op op = req.op;
+  const std::uint64_t trace_id = req.trace_id;
+  // `done` stays copied for the reject path.
+  Pending p{std::move(req), done, traced, traced ? obs::this_lane() : 0};
+  if (queue_->try_push(std::move(p), deadline, arrived) ==
+      AdmitResult::Overloaded) {
     // try_push consumed p (by-value argument) even on rejection, taking
     // its callback copy with it; answer through the one we kept.
     em.overloaded.add();
+    admit_span(op, trace_id);
     done(make_error_response(id, "overloaded"));
     return false;
   }
@@ -224,43 +266,17 @@ bool Service::submit_line(std::string_view line, std::string& out,
   return false;
 }
 
-void Service::submit_cb(std::string line, ResponseCallback done,
-                        InlineAllowance& allowance) {
-  std::string out;
-  if (submit_line(line, out, allowance, [&] { return done; })) {
-    done(std::move(out));
-  }
-}
-
-namespace {
-
-/// One "serve.request" span covering a request's whole submit-to-answer
-/// interval, reconstructed from its timestamps (the RAII Span cannot
-/// straddle threads).  `done` is the same timestamp the latency
-/// histogram records, so the traced path adds no clock read of its own;
-/// the worker's records accumulate per batch and land via one emit_all()
-/// -- per-request emission is the one tracing cost that scales with
-/// throughput, and the 5% bench_serve overhead gate watches it.
-obs::SpanRecord request_span(const Request& r, ServeClock::time_point enqueued,
-                             ServeClock::time_point done) {
-  obs::SpanRecord rec;
-  rec.name = "serve.request";
-  rec.trace_id = r.trace_id;
-  rec.start_us = obs::to_trace_us(enqueued);
-  rec.dur_us = us_between(enqueued, done);
-  rec.set_detail(op_spec(r.op).name);
-  return rec;
-}
-
-}  // namespace
-
 void Service::answer_inline(const Request& req, const Admitted& admitted,
                             ServeClock::time_point deadline,
+                            ServeClock::time_point arrived, bool traced,
                             std::string& out) {
   // A batch of one on the calling thread: the same batcher, cache pass
   // and response bytes as a worker batch, minus the two thread hand-offs.
   // Not a worker batch, so `batches` and `batch_size` do not count it.
-  const auto t0 = ServeClock::now();
+  // Its latency runs from arrival; the clock is read at the run's start
+  // only for a deadline or a serve.request span.
+  const auto t0 = deadline != kNoDeadline || traced ? ServeClock::now()
+                                                    : arrived;
   EndpointMetrics& em = metrics_.endpoint(req.op);
   em.requests.add();
   inline_answered_.add();
@@ -272,13 +288,19 @@ void Service::answer_inline(const Request& req, const Admitted& admitted,
     em.errors.add();
     append_error_response(req.id, "deadline_expired", out);
     done = ServeClock::now();
-    em.latency_us.record(us_between(t0, done));
+    em.latency_us.record(us_between(arrived, done));
   } else {
     BatchOutcome outcome;
     run_batch({&req, 1}, {&deadline, 1}, {&outcome, 1}, {&admitted, 1});
-    done = respond(req, outcome, t0, out);
+    done = respond(req, outcome, arrived, out);
   }
-  if (obs::enabled()) obs::emit(request_span(req, t0, done));
+  if (traced) {
+    // On the line's own thread, admission holds the run it leads to.
+    obs::SpanRecord spans[2];
+    set_interval(spans[0], "serve.admit", req.op, req.trace_id, arrived, done);
+    set_interval(spans[1], "serve.request", req.op, req.trace_id, t0, done);
+    obs::emit_all(spans);
+  }
 }
 
 void Service::run_batch(std::span<const Request> reqs,
@@ -361,15 +383,32 @@ std::vector<std::string> Service::request_batch(
 
 void Service::worker_loop() {
   obs::set_lane_name("serve-worker");
+  // Per request, its serve.request span from arrival (its enqueue stamp)
+  // to answer and, when it was traced at admission, its serve.admit span:
+  // the arrival instant, on the lane that admitted it.  One buffer for
+  // the worker's life, so its records stay in cache between batches.
+  std::vector<obs::SpanRecord> req_spans;
   while (true) {
     auto batch = queue_->pop_batch(opts_.batch_max);
     if (batch.empty()) return;  // stopped and drained
 
     obs::Span span("serve.batch");
     span.set_arg("requests", batch.size());
-    std::vector<obs::SpanRecord> req_spans;
+    req_spans.clear();
     const bool traced = obs::enabled();
-    if (traced) req_spans.reserve(batch.size());
+    const auto trace_request = [&](const Request& r, const Pending& p,
+                                   ServeClock::time_point enqueued,
+                                   ServeClock::time_point done) {
+      set_interval(req_spans.emplace_back(), "serve.request", r.op,
+                   r.trace_id, enqueued, done);
+      if (p.traced) {
+        req_spans.push_back(req_spans.back());  // same start, id and op
+        obs::SpanRecord& admit = req_spans.back();
+        admit.name = "serve.admit";
+        admit.dur_us = 0;
+        admit.lane = p.lane;
+      }
+    };
 
     metrics_.batches().add();
     metrics_.batch_size().record(batch.size());
@@ -385,7 +424,11 @@ void Service::worker_loop() {
         em.errors.add();
         const auto done = ServeClock::now();
         em.latency_us.record(us_between(batch[i].enqueued, done));
-        if (traced) obs::emit(request_span(r, batch[i].enqueued, done));
+        if (traced) {
+          trace_request(r, batch[i].item, batch[i].enqueued, done);
+          obs::emit_all(req_spans);
+          req_spans.clear();
+        }
         batch[i].item.done(make_error_response(r.id, "deadline_expired"));
       } else {
         live_idx.push_back(i);
@@ -411,10 +454,13 @@ void Service::worker_loop() {
       const auto enqueued = batch[live_idx[t]].enqueued;
       const auto done = respond(reqs[t], outcomes[t], enqueued,
                                 responses.emplace_back());
-      if (traced) req_spans.push_back(request_span(reqs[t], enqueued, done));
+      if (traced) {
+        trace_request(reqs[t], batch[live_idx[t]].item, enqueued, done);
+      }
     }
     // Spans land before callbacks resolve: a client that saw its answer
-    // can immediately `trace` and find its serve.request span.
+    // can immediately `trace` and find its serve.admit and serve.request
+    // spans.
     obs::emit_all(req_spans);
     // Slow-client site: one seeded stall between computing a batch's
     // answers and resolving its callbacks -- the response-writing leg.

@@ -6,7 +6,8 @@
 //
 // Plumbing (docs/serving.md has the full picture):
 //
-//   submit_line(line) --codec: one canonicalization, one hash--> a query
+//   submit_line(line) --one arrival stamp (latency, deadline, enqueue
+//       time), codec: one canonicalization, one hash--> a query
 //       the codec accepts?  cached hit => answered at once, no request
 //       built (try_serve_fast is this step alone)
 //       \-> request from the codec, or from a DOM when the codec refused
@@ -51,7 +52,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -169,45 +169,20 @@ class Service {
   /// admission hand-off) and must not throw.
   using ResponseCallback = std::function<void(std::string)>;
 
-  /// What submit_line calls to get the callback of a line that queues: a
-  /// non-owning reference to any callable returning a ResponseCallback,
-  /// so a front-end builds its callback only for such a line.
-  class QueuedCallback {
-   public:
-    template <class F>
-      requires(!std::is_same_v<std::remove_cvref_t<F>, QueuedCallback> &&
-               std::is_invocable_r_v<ResponseCallback, F&>)
-    QueuedCallback(F&& make)  // implicit: callers pass a lambda
-        : make_(const_cast<void*>(
-              static_cast<const void*>(std::addressof(make)))),
-          call_([](void* m) -> ResponseCallback {
-            return (*static_cast<std::remove_reference_t<F>*>(m))();
-          }) {}
-    ResponseCallback operator()() const { return call_(make_); }
-
-   private:
-    void* make_;
-    ResponseCallback (*call_)(void*);
-  };
-
   /// Answer one request line: each front-end's one call per line.  The
   /// codec canonicalizes it once; a cached hit, a control op, a
   /// rejection or a query run inline appends its answer (no newline) to
   /// `out` and returns true.  Otherwise the line queues and submit_line
   /// returns false with `out` untouched, having called `queued` once for
-  /// the callback its answer goes to.  A query runs inline on the calling
-  /// thread, charged to `allowance`, when the admission queue is idle
-  /// (empty, not paused, not stopped), it is not `explain`, faults are
-  /// disarmed, and the planner's price for it fits what is left of
-  /// `allowance`.  Thread-safe.
+  /// the callback its answer goes to, so a front-end builds a callback
+  /// only for such a line.  A query runs inline on the calling thread,
+  /// charged to `allowance`, when the admission queue is idle (empty, not
+  /// paused, not stopped), it is not `explain`, faults are disarmed, and
+  /// the planner's price for it fits what is left of `allowance`.
+  /// Thread-safe.
   bool submit_line(std::string_view line, std::string& out,
-                   InlineAllowance& allowance, QueuedCallback queued);
-
-  /// submit_line with the callback in hand: `done` receives the answer,
-  /// on the calling thread before submit_cb returns unless the line
-  /// queues.  Thread-safe.
-  void submit_cb(std::string line, ResponseCallback done,
-                 InlineAllowance& allowance);
+                   InlineAllowance& allowance,
+                   const std::function<ResponseCallback()>& queued);
 
   /// submit_line under a grant of its own.  Cached hits, control ops and
   /// queries answered inline resolve before returning; queued query ops
@@ -247,15 +222,22 @@ class Service {
   struct Pending {
     Request req;
     ResponseCallback done;
+    // Traced at admission, and on which lane: the worker emits its
+    // serve.admit span with the batch's spans.
+    bool traced = false;
+    std::uint32_t lane = 0;
   };
 
   std::string handle_control(const Request& req);
   Json stats_json() const;
   void worker_loop();
   bool hit_probe_applies(Op op, std::int64_t deadline_ms) const;
-  bool serve_hit(const FastQuery& q, std::string& out);
+  bool serve_hit(const FastQuery& q, ServeClock::time_point arrived,
+                 std::string& out);
   void answer_inline(const Request& req, const Admitted& admitted,
-                     ServeClock::time_point deadline, std::string& out);
+                     ServeClock::time_point deadline,
+                     ServeClock::time_point arrived, bool traced,
+                     std::string& out);
   void run_batch(std::span<const Request> reqs,
                  std::span<const ServeClock::time_point> deadlines,
                  std::span<BatchOutcome> out,

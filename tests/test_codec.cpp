@@ -288,6 +288,29 @@ TEST(CodecDifferential, AcceptsTheFormsTheFastPathExistsFor) {
   }
 }
 
+TEST(RequestFields, ArraySizeCountsWhatTheDomWouldParse) {
+  // Pricing a geometric query counts its points with Field::array_size,
+  // a scan of the canonical bytes; the handler parses them.  Both must
+  // see the same number of elements, nested values and strings holding
+  // ',' or ']' included.
+  const char* const kLines[] = {
+      R"({"op":"largest_rect","points":[]})",
+      R"({"op":"largest_rect","points":[[0,0]]})",
+      R"({"op":"largest_rect","points":[[0,0],[3,4],[-1,2]]})",
+      R"({"op":"polygon_neighbors","p":[[1,2],[3,4]],"q":[[5,6]]})",
+      R"({"op":"largest_rect","points":[1,"a,]",[2,[3,[]]],{"k":[1,2]},null]})",
+      R"({"op":"largest_rect","points":[ 1.5 , -2 , 3e2 ]})",
+  };
+  for (const char* line : kLines) {
+    const Request r = serve::parse_request(line);
+    for (const char* key : {"points", "p", "q"}) {
+      const serve::Field f = r.find(key);
+      if (!f.present()) continue;
+      EXPECT_EQ(f.array_size(), f.parse().arr().size()) << line << " " << key;
+    }
+  }
+}
+
 TEST(CodecDifferential, DoublesNeverShareAnIntegersSignature) {
   // A number parsed as a double reads differently from an integer ("row":
   // 1.0 is not an integer), so its signature must differ from the

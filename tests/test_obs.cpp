@@ -167,6 +167,51 @@ TEST_F(ObsTest, TraceIdPropagatesAcrossBatchedGroup) {
   EXPECT_TRUE(kernel_ids.count(111));
 }
 
+TEST_F(ObsTest, AdmissionSpansLandOnTheSubmittersLaneAtArrival) {
+  // A queued query's serve.admit span is the arrival instant, emitted by
+  // the worker with the batch's spans but on the lane that admitted it;
+  // its serve.request span starts there.  An inline query's serve.admit
+  // holds its serve.request, both on the submitting thread's lane.
+  Service svc;
+  svc.request(R"({"op":"register_random","rows":24,"cols":20,"seed":3})");
+  reset();
+  const std::uint32_t me = this_lane();
+  svc.pause();
+  auto queued =
+      svc.submit(R"({"op":"rowmin","array":0,"row":1,"trace_id":301})");
+  svc.resume();
+  queued.get();
+  svc.request(R"({"op":"rowmin","array":0,"row":2,"trace_id":302})");
+
+  const Snapshot snap = collect();
+  const auto find = [&](std::string_view name, std::uint64_t id) {
+    const SpanRecord* hit = nullptr;
+    int n = 0;
+    for (const SpanRecord& s : snap.spans) {
+      if (std::string_view(s.name) == name && s.trace_id == id) {
+        hit = &s;
+        ++n;
+      }
+    }
+    EXPECT_EQ(n, 1) << name << " " << id;
+    return hit;
+  };
+  const SpanRecord* qa = find("serve.admit", 301);
+  const SpanRecord* qr = find("serve.request", 301);
+  const SpanRecord* ia = find("serve.admit", 302);
+  const SpanRecord* ir = find("serve.request", 302);
+  ASSERT_TRUE(qa && qr && ia && ir);
+  EXPECT_EQ(qa->lane, me);
+  EXPECT_NE(qr->lane, me);  // the worker's
+  EXPECT_EQ(qa->dur_us, 0u);
+  EXPECT_EQ(qa->start_us, qr->start_us);
+  EXPECT_EQ(std::string(qa->detail), "rowmin");
+  EXPECT_EQ(ia->lane, me);
+  EXPECT_EQ(ir->lane, me);
+  EXPECT_LE(ia->start_us, ir->start_us);
+  EXPECT_GE(ia->start_us + ia->dur_us, ir->start_us + ir->dur_us);
+}
+
 TEST_F(ObsTest, MintedIdsCoverUntaggedQueries) {
   Service svc;
   svc.request(R"({"op":"register_random","rows":8,"cols":8,"seed":1})");

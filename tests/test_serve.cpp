@@ -678,6 +678,24 @@ TEST(Service, ExplainPricesASubmatrixQueryAtItsRegion) {
   // A malformed region prices at the whole operand, as before it fails.
   const Json bad = plan_of(R"("r0":9,"r1":7,"c0":0,"c1":9)");
   EXPECT_EQ(bad.at("shape").at("rows").as_int(), 4096);
+
+  // Taking the index is weighed at the whole operand, whatever the
+  // region: a 151 x 61 region's sequential price reads below the index's
+  // but measures above it.
+  svc.request(R"({"op":"index_build","array":0})");
+  for (const char* region : {R"("r0":100,"r1":250,"c0":10,"c1":70)",
+                             R"("r0":7,"r1":7,"c0":9,"c1":9)",
+                             R"("r0":100,"r1":3000,"c0":10,"c1":900)"}) {
+    const Json p = plan_of(region);
+    EXPECT_TRUE(p.at("use_index").as_bool()) << region;
+    EXPECT_LT(p.at("index_predicted_us").as_double(), whole) << region;
+  }
+  EXPECT_LT(plan_of(R"("r0":100,"r1":250,"c0":10,"c1":70)")
+                .at("predicted_us")
+                .as_double(),
+            plan_of(R"("r0":100,"r1":250,"c0":10,"c1":70)")
+                .at("index_predicted_us")
+                .as_double());
 }
 
 TEST(Service, ConcurrentSubmittersGetConsistentAnswers) {
@@ -735,8 +753,8 @@ TEST(Service, StatsReportsCountersAndQueue) {
 // Inline rule: a cheap query on an idle queue runs on the submitting thread
 // ---------------------------------------------------------------------------
 
-/// One submit_cb, observed: where its answer ran and whether it had
-/// arrived before submit_cb returned.
+/// One submit_line, observed: where its answer ran and whether it had
+/// arrived before submit_line returned.
 struct Probe {
   std::atomic<bool> fired{false};
   std::thread::id thread;  // written before `fired` and the promise
@@ -748,14 +766,16 @@ struct Probe {
 std::shared_ptr<Probe> probe_submit(Service& svc, const std::string& line,
                                     InlineAllowance& allowance) {
   auto p = std::make_shared<Probe>();
-  svc.submit_cb(
-      line,
-      [p](std::string resp) {
-        p->thread = std::this_thread::get_id();
-        p->fired.store(true, std::memory_order_release);
-        p->answer.set_value(std::move(resp));
-      },
-      allowance);
+  const auto fire = [p](std::string resp) {
+    p->thread = std::this_thread::get_id();
+    p->fired.store(true, std::memory_order_release);
+    p->answer.set_value(std::move(resp));
+  };
+  std::string out;
+  if (svc.submit_line(line, out, allowance,
+                      [&]() -> Service::ResponseCallback { return fire; })) {
+    fire(std::move(out));
+  }
   p->before_return = p->fired.load(std::memory_order_acquire);
   return p;
 }
@@ -785,7 +805,7 @@ double edit_price_us(std::size_t len) {
       plan::QueryShape{plan::OpClass::EditDistance, len, len, 1});
 }
 
-TEST(InlineRule, IdleQueueAnswersACheapQueryBeforeSubmitCbReturns) {
+TEST(InlineRule, IdleQueueAnswersACheapQueryBeforeSubmitLineReturns) {
   Service svc;
   reg_random(svc, 64, 64, 3);
   const std::string q = R"({"op":"rowmin","id":7,"array":0,"row":5})";
